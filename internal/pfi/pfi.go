@@ -16,6 +16,15 @@
 // input fields (typically a few hundred bytes out of megabytes — the
 // paper's ≈0.2%) that must be compared at runtime to short-circuit the
 // event safely, plus the Fig. 9 trim curve.
+//
+// Every step above retrains and replays the table predictor many times,
+// so each event type's records are laid out once, up front, as dense
+// columns: one row-major []uint64 of input values per split, with
+// columns in sorted field-name order, and outputs interned to small
+// integers. Keys then read row slices instead of looking fields up by
+// name, and a permuted column resumes each key from its cached hash
+// state before that column. The key hash itself is the one memo builds
+// at runtime, unchanged, so a selection means the same thing on device.
 package pfi
 
 import (
@@ -151,16 +160,66 @@ type Result struct {
 // fieldMeta describes one input field location within one event type.
 type fieldMeta struct {
 	name     string
+	hash     uint64 // trace.HashString(name), folded into every key
 	category trace.Category
 	size     units.Size
 }
 
-// typeData is the per-event-type training matrix.
+// absent is the key value of a field a record does not carry (matches
+// memo's lookup key).
+const absent = uint64(0xdeadbeefcafef00d)
+
+// keySeed is the initial key hash state, before any field is folded in.
+const keySeed = uint64(1469598103934665603)
+
+// outSlot is one interned output name's value in a train record's
+// prediction row.
+type outSlot struct {
+	value uint64
+	ok    bool
+}
+
+// outOcc is one output field of a validation record, in record order.
+type outOcc struct {
+	out   int32 // interned output name; -1 if no train record wrote it
+	temp  bool
+	value uint64
+}
+
+// typeData is one event type's training and validation data in columnar
+// form. Input column c holds field fields[c] for every record, so a key
+// reads a row slice instead of looking fields up by name.
 type typeData struct {
-	eventType string
-	fields    []fieldMeta
-	train     []*trace.Record
-	valid     []*trace.Record
+	eventType      string
+	fields         []fieldMeta // sorted by name
+	nTrain, nValid int
+	trainIn        []uint64 // nTrain × len(fields), row-major
+	validIn        []uint64 // nValid × len(fields), row-major
+	nOut           int      // interned output names of the train records
+	pred           []outSlot
+	validInstr     []int64
+	validOut       []outOcc
+	validOff       []int // validOut[validOff[i]:validOff[i+1]] is valid record i's
+}
+
+func (td *typeData) trainRow(r int) []uint64 {
+	nf := len(td.fields)
+	return td.trainIn[r*nf : (r+1)*nf]
+}
+
+func (td *typeData) validRow(i int) []uint64 {
+	nf := len(td.fields)
+	return td.validIn[i*nf : (i+1)*nf]
+}
+
+// column returns the input column of the named field, or -1 if the type
+// never saw it.
+func (td *typeData) column(name string) int {
+	c := sort.Search(len(td.fields), func(c int) bool { return td.fields[c].name >= name })
+	if c < len(td.fields) && td.fields[c].name == name {
+		return c
+	}
+	return -1
 }
 
 // Run executes PFI over a profile and returns the necessary-input
@@ -213,7 +272,7 @@ func Run(d *trace.Dataset, cfg Config) (*Result, error) {
 	}
 	res.Selection.Canonicalize()
 	res.SelectedBytes = res.Selection.TotalWidth()
-	res.Final = Evaluate(d, res.Selection, cfg.TrainFrac)
+	res.Final = evaluate(types, res.Selection)
 	if m := cfg.metrics; m != nil {
 		m.selectedBytes.Set(int64(res.SelectedBytes))
 	}
@@ -221,23 +280,19 @@ func Run(d *trace.Dataset, cfg Config) (*Result, error) {
 }
 
 // splitByType partitions the dataset per event type with a temporal
-// train/validation split.
+// train/validation split and resolves each type's columns.
 func splitByType(d *trace.Dataset, trainFrac float64) []*typeData {
-	byType := make(map[string]*typeData)
+	byType := make(map[string][]*trace.Record)
 	var order []string
 	for _, rec := range d.Records {
-		td, ok := byType[rec.EventType]
-		if !ok {
-			td = &typeData{eventType: rec.EventType}
-			byType[rec.EventType] = td
+		if _, ok := byType[rec.EventType]; !ok {
 			order = append(order, rec.EventType)
 		}
-		td.train = append(td.train, rec) // temporarily hold all
+		byType[rec.EventType] = append(byType[rec.EventType], rec)
 	}
 	var out []*typeData
 	for _, t := range order {
-		td := byType[t]
-		all := td.train
+		all := byType[t]
 		n := int(float64(len(all)) * trainFrac)
 		if n < 1 {
 			n = 1
@@ -248,87 +303,158 @@ func splitByType(d *trace.Dataset, trainFrac float64) []*typeData {
 		if n < 1 {
 			continue // a single record cannot be split; skip the type
 		}
-		td.train, td.valid = all[:n], all[n:]
-		td.fields = fieldUniverse(all)
-		out = append(out, td)
+		out = append(out, newTypeData(t, all, n))
 	}
 	return out
 }
 
-func fieldUniverse(recs []*trace.Record) []fieldMeta {
-	seen := make(map[string]*fieldMeta)
-	var order []string
+// newTypeData lays out one type's records, the first nTrain of which
+// train the model, as dense columns.
+func newTypeData(eventType string, all []*trace.Record, nTrain int) *typeData {
+	train, valid := all[:nTrain], all[nTrain:]
+	fields, col := fieldUniverse(all)
+	td := &typeData{
+		eventType: eventType, fields: fields,
+		nTrain: len(train), nValid: len(valid),
+		trainIn: inputMatrix(train, col, len(fields)),
+		validIn: inputMatrix(valid, col, len(fields)),
+	}
+
+	// A train record predicts its outputs by interned name; a repeated
+	// name keeps its last value.
+	outs := make(map[string]int32)
+	for _, rec := range train {
+		for _, f := range rec.Outputs {
+			if _, ok := outs[f.Name]; !ok {
+				outs[f.Name] = int32(len(outs))
+			}
+		}
+	}
+	td.nOut = len(outs)
+	td.pred = make([]outSlot, td.nTrain*td.nOut)
+	for r, rec := range train {
+		row := td.pred[r*td.nOut : (r+1)*td.nOut]
+		for _, f := range rec.Outputs {
+			row[outs[f.Name]] = outSlot{value: f.Value, ok: true}
+		}
+	}
+
+	// A validation record is scored on every output it wrote, repeats
+	// included.
+	td.validInstr = make([]int64, td.nValid)
+	td.validOff = make([]int, td.nValid+1)
+	nOcc := 0
+	for _, rec := range valid {
+		nOcc += len(rec.Outputs)
+	}
+	td.validOut = make([]outOcc, 0, nOcc)
+	for i, rec := range valid {
+		td.validInstr[i] = rec.Instr
+		for _, f := range rec.Outputs {
+			o, ok := outs[f.Name]
+			if !ok {
+				o = -1
+			}
+			td.validOut = append(td.validOut, outOcc{out: o, temp: f.Category == trace.OutTemp, value: f.Value})
+		}
+		td.validOff[i+1] = len(td.validOut)
+	}
+	return td
+}
+
+// fieldUniverse returns every input field the records carry, sorted by
+// name, with its column index by name. A field keeps the category of its
+// first occurrence and its largest size.
+func fieldUniverse(recs []*trace.Record) ([]fieldMeta, map[string]int) {
+	seen := make(map[string]int)
+	var out []fieldMeta
 	for _, rec := range recs {
 		for _, f := range rec.Inputs {
-			if m, ok := seen[f.Name]; ok {
-				if f.Size > m.size {
-					m.size = f.Size
+			if i, ok := seen[f.Name]; ok {
+				if f.Size > out[i].size {
+					out[i].size = f.Size
 				}
 				continue
 			}
-			seen[f.Name] = &fieldMeta{name: f.Name, category: f.Category, size: f.Size}
-			order = append(order, f.Name)
+			seen[f.Name] = len(out)
+			out = append(out, fieldMeta{name: f.Name, hash: trace.HashString(f.Name), category: f.Category, size: f.Size})
 		}
 	}
-	out := make([]fieldMeta, 0, len(order))
-	for _, n := range order {
-		out = append(out, *seen[n])
-	}
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
-}
-
-// fieldKey pairs a field name with its precomputed trace.HashString:
-// keyOf runs once per record per evaluation pass (O(records × fields ×
-// permutations) over a PFI search), so the name is hashed once per model
-// instead of once per record.
-type fieldKey struct {
-	name string
-	hash uint64
-}
-
-func hashFields(names []string) []fieldKey {
-	out := make([]fieldKey, len(names))
-	for i, n := range names {
-		out[i] = fieldKey{name: n, hash: trace.HashString(n)}
+	for c, f := range out {
+		seen[f.name] = c
 	}
-	return out
+	return out, seen
 }
 
-// model is the table predictor over a field subset.
-type model struct {
-	fields []fieldKey // selected fields, sorted by name
-	rows   map[uint64][]trace.Field
-	instr  map[uint64]int64
-}
-
-func trainModel(recs []*trace.Record, fields []string) *model {
-	m := &model{fields: hashFields(fields), rows: make(map[uint64][]trace.Field), instr: make(map[uint64]int64)}
-	for _, rec := range recs {
-		k := keyOf(rec, m.fields, nil)
-		if _, ok := m.rows[k]; !ok {
-			m.rows[k] = rec.Outputs
-			m.instr[k] = rec.Instr
+// inputMatrix lays out the records' input values row-major by column. A
+// field a record lacks reads as absent; a repeated name keeps its first
+// value, as Record.Input does.
+func inputMatrix(recs []*trace.Record, col map[string]int, nf int) []uint64 {
+	m := make([]uint64, len(recs)*nf)
+	set := make([]int, nf) // set[c] == i+1 once row i has a value for column c
+	for i, rec := range recs {
+		row := m[i*nf : (i+1)*nf]
+		for c := range row {
+			row[c] = absent
+		}
+		for _, f := range rec.Inputs {
+			if c := col[f.Name]; set[c] != i+1 {
+				set[c] = i + 1
+				row[c] = f.Value
+			}
 		}
 	}
 	return m
 }
 
-// keyOf hashes the record's values of the given fields; override (may be
-// nil) substitutes values for permutation-importance shuffles.
-func keyOf(rec *trace.Record, fields []fieldKey, override map[string]uint64) uint64 {
-	h := uint64(1469598103934665603)
+// fieldKey is one key field of a model: its name hash and its input
+// column, or -1 for a field the type never saw (always absent).
+type fieldKey struct {
+	hash uint64
+	col  int
+}
+
+// model is the table predictor over a field subset: each key maps to the
+// first train row that has it.
+type model map[uint64]int32
+
+// train refits m to the train records keyed on fields. It clears m
+// rather than allocating a new map, since backward elimination refits
+// once per step.
+func (m model) train(td *typeData, fields []fieldKey) {
+	clear(m)
+	for r := 0; r < td.nTrain; r++ {
+		k := keyOf(td.trainRow(r), fields)
+		if _, ok := m[k]; !ok {
+			m[k] = int32(r)
+		}
+	}
+}
+
+// keyOf hashes a row's values of the given fields. The hash folds name
+// hash then value per field in sorted-name order — the same key memo
+// builds at runtime, so it must not change.
+func keyOf(row []uint64, fields []fieldKey) uint64 {
+	h := keySeed
 	for _, fk := range fields {
-		v := uint64(0xdeadbeefcafef00d) // absent sentinel (matches memo)
-		if ov, ok := override[fk.name]; ok {
-			v = ov
-		} else if f, ok := rec.Input(fk.name); ok {
-			v = f.Value
+		v := absent
+		if fk.col >= 0 {
+			v = row[fk.col]
 		}
 		h = trace.Combine(h, fk.hash)
 		h = trace.Combine(h, v)
 	}
 	return h
+}
+
+// validKeys fills dst with every validation row's key under fields.
+func validKeys(td *typeData, fields []fieldKey, dst []uint64) []uint64 {
+	dst = dst[:0]
+	for i := 0; i < td.nValid; i++ {
+		dst = append(dst, keyOf(td.validRow(i), fields))
+	}
+	return dst
 }
 
 // evalCounts accumulates the error metrics of one evaluation pass.
@@ -355,32 +481,21 @@ func (c evalCounts) metrics() Metrics {
 	return m
 }
 
-// evalModel replays validation records against the model, optionally with
-// one column overridden (for permutation importance).
-func evalModel(m *model, valid []*trace.Record, override map[int]map[string]uint64) evalCounts {
+// evalModel replays the validation records against the model; keys[i]
+// is validation record i's key under the model's fields.
+func evalModel(m model, td *typeData, keys []uint64) evalCounts {
 	var c evalCounts
-	for i, rec := range valid {
-		c.totalInstr += rec.Instr
-		var ov map[string]uint64
-		if override != nil {
-			ov = override[i]
-		}
-		k := keyOf(rec, m.fields, ov)
-		pred, ok := m.rows[k]
+	for i, k := range keys {
+		c.totalInstr += td.validInstr[i]
+		r, ok := m[k]
 		if !ok {
 			continue
 		}
-		c.hitInstr += rec.Instr
-		predicted := make(map[string]uint64, len(pred))
-		for _, f := range pred {
-			predicted[f.Name] = f.Value
-		}
-		for _, f := range rec.Outputs {
-			match := false
-			if pv, ok := predicted[f.Name]; ok && pv == f.Value {
-				match = true
-			}
-			if f.Category == trace.OutTemp {
+		c.hitInstr += td.validInstr[i]
+		pred := td.pred[int(r)*td.nOut : (int(r)+1)*td.nOut]
+		for _, o := range td.validOut[td.validOff[i]:td.validOff[i+1]] {
+			match := o.out >= 0 && pred[o.out].ok && pred[o.out].value == o.value
+			if o.temp {
 				c.predTemp++
 				if !match {
 					c.errTemp++
@@ -402,15 +517,30 @@ func selectForType(td *typeData, cfg Config, r *rng.Source) ([]memo.SelectedFiel
 	if m := cfg.metrics; m != nil {
 		m.types.Inc()
 	}
-	names := make([]string, len(td.fields))
-	metaByName := make(map[string]fieldMeta, len(td.fields))
-	for i, f := range td.fields {
-		names[i] = f.name
-		metaByName[f.name] = f
+	nf := len(td.fields)
+	all := make([]fieldKey, nf)
+	for c, f := range td.fields {
+		all[c] = fieldKey{hash: f.hash, col: c}
 	}
+	full := make(model, td.nTrain)
+	full.train(td, all)
 
-	full := trainModel(td.train, names)
-	base := evalModel(full, td.valid, nil).metrics()
+	// prefix[i*nf+c] is validation row i's key state under the full
+	// model once column c's name hash is folded in, just before its
+	// value. A permuted column resumes every key from there, so scoring
+	// column c re-hashes only columns c.. instead of the whole row.
+	prefix := make([]uint64, td.nValid*nf)
+	keys := make([]uint64, td.nValid)
+	for i := range keys {
+		row, h := td.validRow(i), keySeed
+		for c, f := range td.fields {
+			h = trace.Combine(h, f.hash)
+			prefix[i*nf+c] = h
+			h = trace.Combine(h, row[c])
+		}
+		keys[i] = h
+	}
+	base := evalModel(full, td, keys).metrics()
 
 	// Permutation importance: shuffle one column's values across the
 	// validation records and measure the error increase. Errors in
@@ -420,29 +550,30 @@ func selectForType(td *typeData, cfg Config, r *rng.Source) ([]memo.SelectedFiel
 	// scores are independent of how the fields are scheduled across
 	// workers — Workers=1 and Workers=N shuffle identically.
 	score := func(m Metrics) float64 { return 10*m.NonTempError + m.TempError }
-	fieldSrcs := make([]*rng.Source, len(names))
-	for i := range names {
-		fieldSrcs[i] = r.Split()
+	fieldSrcs := make([]*rng.Source, nf)
+	for c := range fieldSrcs {
+		fieldSrcs[c] = r.Split()
 	}
-	imps, _ := parallel.Map(cfg.Workers, len(names), func(fi int) (FieldImportance, error) {
-		name, fr := names[fi], fieldSrcs[fi]
+	imps, _ := parallel.Map(cfg.Workers, nf, func(c int) (FieldImportance, error) {
+		fr := fieldSrcs[c]
+		vals := make([]uint64, td.nValid)
+		permKeys := make([]uint64, td.nValid)
 		var total float64
 		for p := 0; p < cfg.Permutations; p++ {
-			// Collect the column, shuffle, build per-record overrides.
-			vals := make([]uint64, len(td.valid))
-			for i, rec := range td.valid {
-				if f, ok := rec.Input(name); ok {
-					vals[i] = f.Value
-				} else {
-					vals[i] = 0xdeadbeefcafef00d
-				}
+			for i := range vals {
+				vals[i] = td.validIn[i*nf+c]
 			}
 			fr.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-			override := make(map[int]map[string]uint64, len(vals))
 			for i, v := range vals {
-				override[i] = map[string]uint64{name: v}
+				h := trace.Combine(prefix[i*nf+c], v)
+				row := td.validRow(i)
+				for k := c + 1; k < nf; k++ {
+					h = trace.Combine(h, td.fields[k].hash)
+					h = trace.Combine(h, row[k])
+				}
+				permKeys[i] = h
 			}
-			perm := evalModel(full, td.valid, override).metrics()
+			perm := evalModel(full, td, permKeys).metrics()
 			total += score(perm) - score(base)
 			if m := cfg.metrics; m != nil {
 				m.permutations.Inc()
@@ -451,49 +582,59 @@ func selectForType(td *typeData, cfg Config, r *rng.Source) ([]memo.SelectedFiel
 		if m := cfg.metrics; m != nil {
 			m.fields.Inc()
 		}
-		meta := metaByName[name]
+		f := td.fields[c]
 		return FieldImportance{
-			Name: name, Category: meta.category, Size: meta.size,
+			Name: f.name, Category: f.category, Size: f.size,
 			EventType: td.eventType, Importance: total / float64(cfg.Permutations),
 		}, nil
 	})
 
 	// Backward elimination, least important first. Larger fields break
 	// ties so the table shrinks fastest.
-	order := append([]FieldImportance(nil), imps...)
+	order := make([]int, nf)
+	for c := range order {
+		order[c] = c
+	}
 	sort.SliceStable(order, func(i, j int) bool {
-		if order[i].Importance != order[j].Importance {
-			return order[i].Importance < order[j].Importance
+		a, b := imps[order[i]], imps[order[j]]
+		if a.Importance != b.Importance {
+			return a.Importance < b.Importance
 		}
-		return order[i].Size > order[j].Size
+		return a.Size > b.Size
 	})
 
-	selected := make(map[string]bool, len(names))
-	for _, n := range names {
-		selected[n] = true
+	selected := make([]bool, nf)
+	for c := range selected {
+		selected[c] = true
+	}
+	nSel := nf
+	var width units.Size
+	for _, f := range td.fields {
+		width += f.size
 	}
 	var curve []TrimPoint
-	widthOf := func() units.Size {
-		var w units.Size
-		for n := range selected {
-			w += metaByName[n].size
-		}
-		return w
-	}
-	for _, cand := range order {
+	sub := make(model, td.nTrain)
+	subset := make([]fieldKey, 0, nf)
+	for _, c := range order {
+		cand := imps[c]
 		if cfg.ForceInclude[cand.Name] {
 			continue
 		}
-		if !cfg.ForceExclude[cand.Name] && len(selected) == 1 {
+		if !cfg.ForceExclude[cand.Name] && nSel == 1 {
 			break // keep at least one field unless explicitly excluded
 		}
-		delete(selected, cand.Name)
-		subset := make([]string, 0, len(selected))
-		for n := range selected {
-			subset = append(subset, n)
+		selected[c] = false
+		nSel--
+		width -= cand.Size
+		subset = subset[:0]
+		for k, ok := range selected {
+			if ok {
+				subset = append(subset, all[k])
+			}
 		}
-		sort.Strings(subset)
-		m := evalModel(trainModel(td.train, subset), td.valid, nil).metrics()
+		keys = validKeys(td, subset, keys)
+		sub.train(td, subset)
+		m := evalModel(sub, td, keys).metrics()
 		ok := m.NonTempError <= cfg.MaxNonTempError && m.TempError <= cfg.MaxTempError
 		if cfg.ForceExclude[cand.Name] {
 			ok = true
@@ -505,7 +646,7 @@ func selectForType(td *typeData, cfg Config, r *rng.Source) ([]memo.SelectedFiel
 			}
 		}
 		curve = append(curve, TrimPoint{
-			SelectedBytes: widthOf(), NonTempError: m.NonTempError, TempError: m.TempError,
+			SelectedBytes: width, NonTempError: m.NonTempError, TempError: m.TempError,
 			Coverage: m.Coverage, DroppedField: cand.Name, DroppedCategory: cand.Category,
 			Accepted: ok,
 		})
@@ -514,16 +655,19 @@ func selectForType(td *typeData, cfg Config, r *rng.Source) ([]memo.SelectedFiel
 				td.eventType, cand.Name, cand.Importance, 100*m.Coverage, 100*m.NonTempError, 100*m.TempError, ok)
 		}
 		if !ok {
-			selected[cand.Name] = true // revert the drop
+			selected[c] = true // revert the drop
+			nSel++
+			width += cand.Size
 		}
 	}
 
-	out := make([]memo.SelectedField, 0, len(selected))
-	for n := range selected {
-		meta := metaByName[n]
-		out = append(out, memo.SelectedField{Name: n, Category: meta.category, Size: meta.size})
+	out := make([]memo.SelectedField, 0, nSel)
+	for c, ok := range selected {
+		if ok {
+			f := td.fields[c]
+			out = append(out, memo.SelectedField{Name: f.name, Category: f.category, Size: f.size})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, imps, curve
 }
 
@@ -531,14 +675,24 @@ func selectForType(td *typeData, cfg Config, r *rng.Source) ([]memo.SelectedFiel
 // train/validation split — usable for selections from any source
 // (PFI, developer overrides, ablations).
 func Evaluate(d *trace.Dataset, sel memo.Selection, trainFrac float64) Metrics {
+	return evaluate(splitByType(d, trainFrac), sel)
+}
+
+func evaluate(types []*typeData, sel memo.Selection) Metrics {
 	var agg evalCounts
-	for _, td := range splitByType(d, trainFrac) {
+	m := make(model)
+	for _, td := range types {
 		names := make([]string, 0, len(sel[td.eventType]))
 		for _, f := range sel[td.eventType] {
 			names = append(names, f.Name)
 		}
 		sort.Strings(names)
-		c := evalModel(trainModel(td.train, names), td.valid, nil)
+		fields := make([]fieldKey, len(names))
+		for i, n := range names {
+			fields[i] = fieldKey{hash: trace.HashString(n), col: td.column(n)}
+		}
+		m.train(td, fields)
+		c := evalModel(m, td, validKeys(td, fields, nil))
 		agg.totalInstr += c.totalInstr
 		agg.hitInstr += c.hitInstr
 		agg.predNonTemp += c.predNonTemp
