@@ -26,6 +26,9 @@ go test ./...
 echo "== go test -race (whole module)"
 go test -race ./...
 
+echo "== perfbench (nested module: the root ./... never builds it, yet it calls the cloud client API)"
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== fleet bench smoke (sharded cloud, multi-round delta OTA, then schema validation incl. health/SLO and delta accounting)"
 go run ./cmd/fleetbench -devices 2,4 -sessions 2 -secs 5 -profile-sessions 2 \
 	-shards 2 -refreshes 2 -delta-cap 4 \
@@ -41,9 +44,7 @@ rm -f /tmp/snip_bench_shards_smoke.json
 
 echo "== fuzz smoke (ingest decoders must reject arbitrary bytes, never panic)"
 go test -run '^$' -fuzz '^FuzzDecodeBatch$' -fuzztime 5s ./internal/trace
-go test -run '^$' -fuzz '^FuzzDecodeEventsOnly$' -fuzztime 5s ./internal/trace
 go test -run '^$' -fuzz '^FuzzDecodeTelemetry$' -fuzztime 5s ./internal/trace
-go test -run '^$' -fuzz '^FuzzDecodeUpdate$' -fuzztime 5s ./internal/cloud
 go test -run '^$' -fuzz '^FuzzLoadFlatTable$' -fuzztime 5s ./internal/memo
 go test -run '^$' -fuzz '^FuzzDecodeDelta$' -fuzztime 5s ./internal/trace
 go test -run '^$' -fuzz '^FuzzApplyDelta$' -fuzztime 5s ./internal/memo

@@ -8,6 +8,7 @@ import (
 
 	"snip/internal/cloud"
 	"snip/internal/schemes"
+	"snip/internal/trace"
 	"snip/internal/units"
 )
 
@@ -83,11 +84,6 @@ func (s *CloudService) Handler() http.Handler { return s.svc.Handler() }
 // events; nil disables logging.
 func (s *CloudService) SetLogger(l *slog.Logger) { s.svc.SetLogger(l) }
 
-// SetLegacyTables switches the service back to map-backed tables served
-// as gob (the pre-flat wire format) — the A/B knob for comparing the
-// flat image path against the legacy one.
-func (s *CloudService) SetLegacyTables(v bool) { s.svc.SetLegacyTables(v) }
-
 // WriteMetricsText writes the service's metrics in Prometheus text
 // exposition format (the same content GET /v1/metrics serves).
 func (s *CloudService) WriteMetricsText(w io.Writer) error {
@@ -120,7 +116,8 @@ func (c *CloudClient) RecordAndUpload(game string, seed uint64, duration time.Du
 	if err != nil {
 		return err
 	}
-	return c.c.Upload(game, seed, r.EventLog)
+	_, err = c.c.UploadBatch(game, []trace.SessionEvents{{Seed: seed, Log: r.EventLog}})
+	return err
 }
 
 // Rebuild asks the cloud to retrain PFI and rebuild the table.
@@ -128,10 +125,11 @@ func (c *CloudClient) Rebuild(game string) error { return c.c.Rebuild(game) }
 
 // FetchTable downloads the latest OTA table for a game.
 func (c *CloudClient) FetchTable(game string) (*Table, *Selection, error) {
-	up, err := c.c.FetchTable(game)
+	res, err := c.c.FetchUpdate(game, 0, nil)
 	if err != nil {
 		return nil, nil, err
 	}
+	up := res.Update
 	return &Table{t: up.Table}, &Selection{
 		SelectedBytes:   up.Selection.TotalWidth().Bytes(),
 		Coverage:        up.Metrics.Coverage,

@@ -193,15 +193,11 @@ func shardPointOnce(shards int, games []string, corpus map[string][]trace.Sessio
 	client := cloud.NewClient(url)
 	for _, g := range games {
 		sessions += len(corpus[g])
-		up, err := client.FetchTable(g)
+		res, err := client.FetchUpdate(g, 0, nil)
 		if err != nil {
 			return pt, fmt.Errorf("fetch %s (shards=%d): %w", g, shards, err)
 		}
-		flat, ok := up.Table.(*memo.FlatTable)
-		if !ok {
-			return pt, fmt.Errorf("fetch %s (shards=%d): not a flat table", g, shards)
-		}
-		h.Write(flat.Image())
+		h.Write(res.Update.Table.(*memo.FlatTable).Image())
 	}
 	pt.TablesFNV = h.Sum64()
 	if wall := pt.IngestWallSecs + pt.RebuildWallSecs; wall > 0 {

@@ -15,9 +15,9 @@ import (
 )
 
 // TestBatchUploadMatchesSequential is the ingest-equivalence contract:
-// one gzip'd batch must leave the profiler in exactly the state that the
-// same sessions uploaded one by one would, because sessions replay in
-// upload order either way.
+// one gzip'd batch of N sessions must leave the profiler in exactly the
+// state that N batches of one would, because sessions replay in upload
+// order either way.
 func TestBatchUploadMatchesSequential(t *testing.T) {
 	seeds := []uint64{0xA1, 0xA2, 0xA3}
 	var sessions []trace.SessionEvents
@@ -25,13 +25,11 @@ func TestBatchUploadMatchesSequential(t *testing.T) {
 		sessions = append(sessions, trace.SessionEvents{Seed: s, Log: record(t, "Colorphun", s).EventLog})
 	}
 
-	// Sequential uploads.
+	// Sequential one-session batches.
 	_, seqSrv := testServer(t)
 	seq := NewClient(seqSrv.URL)
 	for i, s := range seeds {
-		if err := seq.Upload("Colorphun", s, sessions[i].Log); err != nil {
-			t.Fatal(err)
-		}
+		uploadSession(t, seq, "Colorphun", s, sessions[i].Log)
 	}
 	_, seqStatus := get(t, seqSrv.URL+"/v1/status?game=Colorphun")
 
@@ -51,7 +49,7 @@ func TestBatchUploadMatchesSequential(t *testing.T) {
 		t.Fatalf("batched profile diverged:\n  sequential: %s  batch:      %s", seqStatus, batStatus)
 	}
 
-	// The batch is smaller on the wire than the per-session uploads.
+	// The batch is smaller on the wire than the sessions' events-only logs.
 	var raw int64
 	for i := range sessions {
 		sz, err := trace.EventsOnlyTransferSize(sessions[i].Log)
@@ -61,7 +59,7 @@ func TestBatchUploadMatchesSequential(t *testing.T) {
 		raw += int64(sz)
 	}
 	if int64(wire) >= raw {
-		t.Fatalf("batch (%d B) not smaller than %d B of per-session uploads", wire, raw)
+		t.Fatalf("batch (%d B) not smaller than %d B of events-only logs", wire, raw)
 	}
 
 	// Metrics: 3 sessions counted as uploads, 1 batch, bytes recorded.
@@ -162,7 +160,8 @@ func TestClientRetriesTransient5xx(t *testing.T) {
 	c.Retry = fastRetry(3)
 	c.SetMetrics(reg)
 
-	if err := c.Upload("Colorphun", 0xA1, record(t, "Colorphun", 0xA1).EventLog); err != nil {
+	sessions := []trace.SessionEvents{{Seed: 0xA1, Log: record(t, "Colorphun", 0xA1).EventLog}}
+	if _, err := c.UploadBatch("Colorphun", sessions); err != nil {
 		t.Fatalf("upload did not survive 2 transient 503s: %v", err)
 	}
 	if got := reg.Snapshot().Counters["snip_cloud_client_retries_total"]; got != 2 {

@@ -2,9 +2,11 @@ package cloud
 
 import (
 	"bytes"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"snip/internal/memo"
 	"snip/internal/pfi"
 	"snip/internal/schemes"
 	"snip/internal/trace"
@@ -23,6 +25,27 @@ func record(t *testing.T, game string, seed uint64) *schemes.Result {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// uploadSession uploads one recorded session as a batch of one.
+func uploadSession(t *testing.T, c *Client, game string, seed uint64, log *trace.EventLog) {
+	t.Helper()
+	if _, err := c.UploadBatch(game, []trace.SessionEvents{{Seed: seed, Log: log}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// fetchFull downloads a game's latest table as a full image.
+func fetchFull(t *testing.T, c *Client, game string) *TableUpdate {
+	t.Helper()
+	res, err := c.FetchUpdate(game, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Format != "flat" || res.Update == nil {
+		t.Fatalf("full fetch of %s: %+v", game, res)
+	}
+	return res.Update
 }
 
 // TestReplayReconstructsProfile is the keystone of the cloud design: the
@@ -96,7 +119,7 @@ func TestReplayBatchMatchesSerial(t *testing.T) {
 	// IngestLogs must equal ingesting the same logs one by one.
 	serial := NewProfiler(game, pfi.DefaultConfig())
 	for _, l := range logs {
-		if err := serial.IngestLog(l.Seed, l.Log); err != nil {
+		if err := serial.IngestLogs(1, []SessionLog{l}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -121,7 +144,7 @@ func TestProfilerRebuild(t *testing.T) {
 		t.Fatal("rebuild on empty profile accepted")
 	}
 	dev := record(t, "Greenwall", 7)
-	if err := p.IngestLog(7, dev.EventLog); err != nil {
+	if err := p.IngestLogs(1, []SessionLog{{Seed: 7, Log: dev.EventLog}}); err != nil {
 		t.Fatal(err)
 	}
 	if p.ProfileLen() != dev.Dataset.Len() {
@@ -168,28 +191,31 @@ func TestLearnerTruncatesFirstEpoch(t *testing.T) {
 	}
 }
 
+// TestUpdateEncodeDecode: a table update survives the OTA wire intact —
+// the flat image carries the table, the X-Snip-* headers carry the build
+// metadata — and a payload that is not a valid image is rejected.
 func TestUpdateEncodeDecode(t *testing.T) {
-	p := NewProfiler("MemoryGame", pfi.DefaultConfig())
-	p.IngestDataset(record(t, "MemoryGame", 9).Dataset)
-	up, err := p.Rebuild()
-	if err != nil {
+	svc, srv := testServer(t)
+	client := NewClient(srv.URL)
+	uploadSession(t, client, "MemoryGame", 9, record(t, "MemoryGame", 9).EventLog)
+	if err := client.Rebuild("MemoryGame"); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := EncodeUpdate(&buf, up); err != nil {
-		t.Fatal(err)
+	up := svc.profiler("MemoryGame").Latest()
+	got := fetchFull(t, client, "MemoryGame")
+	if got.Game != up.Game || got.Version != up.Version || got.ProfileRecords != up.ProfileRecords || got.Metrics != up.Metrics {
+		t.Fatalf("metadata lost: got %+v, want %+v", got, up)
 	}
-	got, err := DecodeUpdate(&buf)
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(got.Table.(*memo.FlatTable).Image(), up.Table.(*memo.FlatTable).Image()) {
+		t.Fatalf("rows %d vs %d: image changed on the wire", got.Table.Rows(), up.Table.Rows())
 	}
-	if got.Game != up.Game || got.Version != up.Version {
-		t.Fatal("metadata lost")
-	}
-	if got.Table.Rows() != up.Table.Rows() {
-		t.Fatalf("rows %d vs %d", got.Table.Rows(), up.Table.Rows())
-	}
-	if _, err := DecodeUpdate(bytes.NewBufferString("garbage")); err == nil {
+
+	garbage := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("X-Snip-Format", "flat")
+		_, _ = w.Write([]byte("garbage"))
+	}))
+	defer garbage.Close()
+	if _, err := NewClient(garbage.URL).FetchUpdate("MemoryGame", 0, nil); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
@@ -201,23 +227,17 @@ func TestHTTPServiceEndToEnd(t *testing.T) {
 	client := NewClient(srv.URL)
 
 	// No table yet.
-	if _, err := client.FetchTable("Colorphun"); err == nil {
+	if _, err := client.FetchUpdate("Colorphun", 0, nil); err == nil {
 		t.Fatal("fetch before build should fail")
 	}
 
 	for seed := uint64(0xA1); seed <= 0xA3; seed++ {
-		dev := record(t, "Colorphun", seed)
-		if err := client.Upload("Colorphun", seed, dev.EventLog); err != nil {
-			t.Fatal(err)
-		}
+		uploadSession(t, client, "Colorphun", seed, record(t, "Colorphun", seed).EventLog)
 	}
 	if err := client.Rebuild("Colorphun"); err != nil {
 		t.Fatal(err)
 	}
-	up, err := client.FetchTable("Colorphun")
-	if err != nil {
-		t.Fatal(err)
-	}
+	up := fetchFull(t, client, "Colorphun")
 	if up.Table.Rows() == 0 || up.Game != "Colorphun" {
 		t.Fatalf("fetched update %+v", up)
 	}

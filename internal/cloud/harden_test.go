@@ -14,30 +14,6 @@ import (
 	"snip/internal/trace"
 )
 
-// TestUploadOversizedRejected: a body past MaxUploadBytes answers 413
-// and bumps the oversize counter, not the corrupt one.
-func TestUploadOversizedRejected(t *testing.T) {
-	svc, srv := testServer(t)
-	// Valid magic plus a gob length prefix declaring a 16 MiB message,
-	// backed by real bytes: the decoder reads through the size limiter
-	// until it trips. (Junk bytes would fail the magic check first and
-	// count as corrupt, not oversize.)
-	big := []byte("SNIPEVTS1")
-	big = append(big, 0xFC, 0x01, 0x00, 0x00, 0x00) // gob uint 16 MiB
-	big = append(big, bytes.Repeat([]byte{0}, MaxUploadBytes+(1<<20))...)
-	resp, _ := post(t, srv.URL+"/v1/upload?game=Colorphun&seed=1", bytes.NewReader(big))
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status %d, want 413", resp.StatusCode)
-	}
-	snap := svc.Metrics().Snapshot()
-	if snap.Counters["snip_cloud_uploads_rejected_oversize_total"] != 1 {
-		t.Fatal("oversize rejection not counted")
-	}
-	if snap.Counters["snip_cloud_uploads_rejected_corrupt_total"] != 0 {
-		t.Fatal("oversize rejection miscounted as corrupt")
-	}
-}
-
 // TestBatchOversizedCompressedRejected: a compressed body past
 // MaxBatchBytes answers 413 before any decoding happens.
 func TestBatchOversizedCompressedRejected(t *testing.T) {

@@ -52,9 +52,9 @@ func post(t *testing.T, url string, body io.Reader) (*http.Response, string) {
 func TestMissingGameParam(t *testing.T) {
 	_, srv := testServer(t)
 	cases := []struct{ method, path string }{
-		{"POST", "/v1/upload"},
+		{"POST", "/v1/upload-batch"},
 		{"POST", "/v1/rebuild"},
-		{"GET", "/v1/table"},
+		{"GET", "/v1/update"},
 		{"GET", "/v1/status"},
 	}
 	for _, c := range cases {
@@ -74,32 +74,26 @@ func TestMissingGameParam(t *testing.T) {
 	}
 }
 
-func TestUploadBadSeed(t *testing.T) {
-	_, srv := testServer(t)
-	resp, body := post(t, srv.URL+"/v1/upload?game=Colorphun&seed=banana", nil)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
-	}
-	if !strings.Contains(body, "bad seed") {
-		t.Fatalf("body %q, want a bad-seed message", body)
-	}
-}
-
+// TestUploadCorruptBody: a body that is not a batch at all answers 400
+// and counts as corrupt.
 func TestUploadCorruptBody(t *testing.T) {
-	_, srv := testServer(t)
-	resp, body := post(t, srv.URL+"/v1/upload?game=Colorphun&seed=1",
-		bytes.NewReader([]byte("this is not a gob stream")))
+	svc, srv := testServer(t)
+	resp, body := post(t, srv.URL+"/v1/upload-batch?game=Colorphun",
+		bytes.NewReader([]byte("this is not a batch")))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", resp.StatusCode)
 	}
-	if !strings.Contains(body, "bad log") {
-		t.Fatalf("body %q, want a bad-log message", body)
+	if !strings.Contains(body, "bad batch") {
+		t.Fatalf("body %q, want a bad-batch message", body)
+	}
+	if got := svc.Metrics().Snapshot().Counters["snip_cloud_uploads_rejected_corrupt_total"]; got != 1 {
+		t.Fatalf("corrupt rejections %d, want 1", got)
 	}
 }
 
 func TestTableBeforeRebuild(t *testing.T) {
 	_, srv := testServer(t)
-	resp, body := get(t, srv.URL+"/v1/table?game=Colorphun")
+	resp, body := get(t, srv.URL+"/v1/update?game=Colorphun")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status %d, want 404", resp.StatusCode)
 	}
@@ -115,16 +109,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	svc, srv := testServer(t)
 	client := NewClient(srv.URL)
 
-	dev := record(t, "Colorphun", 0xA1)
-	if err := client.Upload("Colorphun", 0xA1, dev.EventLog); err != nil {
-		t.Fatal(err)
-	}
+	uploadSession(t, client, "Colorphun", 0xA1, record(t, "Colorphun", 0xA1).EventLog)
 	if err := client.Rebuild("Colorphun"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.FetchTable("Colorphun"); err != nil {
-		t.Fatal(err)
-	}
+	fetchFull(t, client, "Colorphun")
 	// One deliberate error: missing game on status.
 	if resp, _ := get(t, srv.URL+"/v1/status"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status without game: %d", resp.StatusCode)
@@ -138,17 +127,18 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("metrics content type %q", ct)
 	}
 	for _, want := range []string{
-		`snip_cloud_requests_total{endpoint="upload"} 1`,
+		`snip_cloud_requests_total{endpoint="upload-batch"} 1`,
 		`snip_cloud_requests_total{endpoint="rebuild"} 1`,
-		`snip_cloud_requests_total{endpoint="table"} 1`,
+		`snip_cloud_requests_total{endpoint="update"} 1`,
 		`snip_cloud_request_errors_total{endpoint="status"} 1`,
 		"snip_cloud_uploads_total 1",
+		"snip_cloud_upload_batches_total 1",
 		"snip_cloud_rebuilds_total 1",
 		"snip_cloud_tables_served_total 1",
 		`snip_cloud_table_version{game="Colorphun"} 1`,
 		// Rebuild-time PFI search surfaces in the same exposition.
 		"snip_pfi_types_total",
-		`snip_cloud_request_ns_count{endpoint="upload"} 1`,
+		`snip_cloud_request_ns_count{endpoint="upload-batch"} 1`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)
@@ -250,7 +240,7 @@ func TestHealthzEndpoint(t *testing.T) {
 	// 25 corrupt uploads: error ratio 1.0 on an ingest endpoint, well
 	// past the 10% budget and the 20-request judgment floor.
 	for i := 0; i < 25; i++ {
-		post(t, srv.URL+"/v1/upload?game=Colorphun&seed=1",
+		post(t, srv.URL+"/v1/upload-batch?game=Colorphun",
 			bytes.NewReader([]byte("corrupt")))
 	}
 	resp, body = get(t, srv.URL+"/v1/healthz")
@@ -284,7 +274,8 @@ func TestTracePropagation(t *testing.T) {
 
 	dev := record(t, "Colorphun", 0xBEEF)
 	sc := obs.Root(obs.NewTraceID(0xBEEF, obs.HashName("Colorphun/test")))
-	if err := client.UploadTraced("Colorphun", 0xBEEF, dev.EventLog, sc); err != nil {
+	sessions := []trace.SessionEvents{{Seed: 0xBEEF, Log: dev.EventLog}}
+	if _, err := client.UploadBatchControlled("Colorphun", sessions, sc, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -304,8 +295,8 @@ func TestTracePropagation(t *testing.T) {
 	if ingest.Parent != sc.Span {
 		t.Errorf("ingest span parent %s, want device span %s", ingest.Parent, sc.Span)
 	}
-	if ingest.Name != "cloud.upload" {
-		t.Errorf("ingest span name %q, want cloud.upload", ingest.Name)
+	if ingest.Name != "cloud.upload-batch" {
+		t.Errorf("ingest span name %q, want cloud.upload-batch", ingest.Name)
 	}
 
 	// The same span is queryable over the wire, filtered by trace ID.
@@ -329,10 +320,7 @@ func TestTracePropagation(t *testing.T) {
 func TestUntracedRequestsRecordNoSpans(t *testing.T) {
 	svc, srv := testServer(t)
 	client := NewClient(srv.URL)
-	dev := record(t, "Colorphun", 7)
-	if err := client.Upload("Colorphun", 7, dev.EventLog); err != nil {
-		t.Fatal(err)
-	}
+	uploadSession(t, client, "Colorphun", 7, record(t, "Colorphun", 7).EventLog)
 	if n := svc.Spans().Len(); n != 0 {
 		t.Fatalf("untraced upload recorded %d spans, want 0", n)
 	}
@@ -360,8 +348,8 @@ func TestClientRetryLogging(t *testing.T) {
 
 	sc := obs.Root(obs.NewTraceID(9, obs.HashName("retrylog")))
 	dev := record(t, "Colorphun", 9)
-	br, err := c.UploadBatchTraced("Colorphun",
-		[]trace.SessionEvents{{Seed: 9, Log: dev.EventLog}}, sc)
+	br, err := c.UploadBatchControlled("Colorphun",
+		[]trace.SessionEvents{{Seed: 9, Log: dev.EventLog}}, sc, nil)
 	if err != nil {
 		t.Fatalf("upload should succeed on 3rd attempt: %v", err)
 	}

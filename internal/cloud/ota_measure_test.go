@@ -39,9 +39,7 @@ func TestMeasureOTA(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := client.Upload(game, seed, r.EventLog); err != nil {
-				t.Fatal(err)
-			}
+			uploadSession(t, client, game, seed, r.EventLog)
 		}
 		seed := uint64(6100)
 		for i := 0; i < boot; i++ {
@@ -51,10 +49,7 @@ func TestMeasureOTA(t *testing.T) {
 		if err := client.Rebuild(game); err != nil {
 			t.Fatal(err)
 		}
-		up, err := client.FetchTable(game)
-		if err != nil {
-			t.Fatal(err)
-		}
+		up := fetchFull(t, client, game)
 		base := up.Table.(*memo.FlatTable)
 		baseVer := up.Version
 		var deltaSum, fullSum int64

@@ -86,8 +86,7 @@ func ReplayBatch(gameName string, workers int, logs []SessionLog) ([]*trace.Data
 
 // TableUpdate is the OTA payload the cloud sends back to devices: the
 // necessary-input selection and the populated lookup table. The table
-// is a *memo.FlatTable by default (the image-serving path) or a
-// *memo.SnipTable when legacy tables are selected.
+// is always a *memo.FlatTable: its image is what /v1/update serves.
 type TableUpdate struct {
 	Game      string
 	Version   int
@@ -115,34 +114,19 @@ type Profiler struct {
 	profile *trace.Dataset
 	version int
 	latest  *TableUpdate
-	legacy  bool
 
-	// Delta OTA state (flat builds only): the previous generation's flat
-	// table and the verified chain of consecutive deltas ending at the
-	// latest version, oldest first, at most deltaCap long.
+	// Delta OTA state: the previous generation's flat table and the
+	// verified chain of consecutive deltas ending at the latest version,
+	// oldest first, at most deltaCap long.
 	prevFlat *memo.FlatTable
 	deltas   []*trace.TableDelta
 	deltaCap int
 }
 
 // NewProfiler creates a profiler for one game. Rebuilds produce flat
-// tables unless SetLegacyTables switches the profiler to the map-backed
-// path.
+// tables.
 func NewProfiler(game string, cfg pfi.Config) *Profiler {
 	return &Profiler{game: game, cfg: cfg, profile: &trace.Dataset{Game: game}, deltaCap: DefaultMaxDeltaChain}
-}
-
-// SetLegacyTables selects the map-backed SnipTable for future rebuilds
-// (the A/B flag for the flat table core); false restores the default
-// flat builds. Legacy tables have no delta form, so enabling drops any
-// retained chain.
-func (p *Profiler) SetLegacyTables(v bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.legacy = v
-	if v {
-		p.prevFlat, p.deltas = nil, nil
-	}
 }
 
 // SetDeltaCap bounds the retained delta chain (values < 1 restore
@@ -167,19 +151,6 @@ func (p *Profiler) ProfileLen() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.profile.Len()
-}
-
-// IngestLog replays an events-only log (with its session seed) and adds
-// the reconstructed records to the profile.
-func (p *Profiler) IngestLog(seed uint64, log *trace.EventLog) error {
-	ds, err := Replay(p.game, seed, log)
-	if err != nil {
-		return err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.profile.Merge(ds)
-	return nil
 }
 
 // IngestLogs replays a batch of events-only logs in parallel and merges
@@ -227,50 +198,47 @@ func (p *Profiler) Rebuild() (*TableUpdate, error) {
 	if err != nil {
 		return nil, err
 	}
-	var table memo.Table = memo.BuildSnip(p.profile, res.Selection)
-	if !p.legacy {
-		table.Freeze()
-		flat, err := memo.Flatten(table)
-		if err != nil {
-			return nil, fmt.Errorf("cloud: flat table build for %s: %w", p.game, err)
-		}
-		table = flat
-		// Grow the delta chain: diff the previous image against this one
-		// and SELF-VERIFY by applying the delta back onto the previous
-		// table — only a delta proven to reproduce the new image
-		// byte-exactly may ever be served. A diff or verify failure (or a
-		// delta no smaller than the image it replaces, e.g. after a
-		// selection change rewrote every key) breaks the chain instead:
-		// devices behind that point get the full image.
-		if p.prevFlat != nil {
-			d, err := memo.DiffFlat(p.game, p.version, p.version+1, p.prevFlat, flat)
-			ok := err == nil
-			if ok {
-				_, verr := memo.ApplyDelta(p.prevFlat, d)
-				ok = verr == nil
-			}
-			if ok {
-				if sz, err := trace.DeltaTransferSize(&trace.DeltaChain{Game: p.game, Deltas: []trace.TableDelta{*d}}); err != nil || int(sz) >= len(flat.Image()) {
-					ok = false
-				}
-			}
-			if ok {
-				p.deltas = append(p.deltas, d)
-				if len(p.deltas) > p.deltaCap {
-					p.deltas = append([]*trace.TableDelta(nil), p.deltas[len(p.deltas)-p.deltaCap:]...)
-				}
-			} else {
-				p.deltas = nil
-			}
-		}
-		p.prevFlat = flat
+	table := memo.BuildSnip(p.profile, res.Selection)
+	table.Freeze()
+	flat, err := memo.Flatten(table)
+	if err != nil {
+		return nil, fmt.Errorf("cloud: flat table build for %s: %w", p.game, err)
 	}
+	// Grow the delta chain: diff the previous image against this one and
+	// SELF-VERIFY by applying the delta back onto the previous table —
+	// only a delta proven to reproduce the new image byte-exactly may ever
+	// be served. A diff or verify failure (or a delta no smaller than the
+	// image it replaces, e.g. after a selection change rewrote every key)
+	// breaks the chain instead: devices behind that point get the full
+	// image.
+	if p.prevFlat != nil {
+		d, err := memo.DiffFlat(p.game, p.version, p.version+1, p.prevFlat, flat)
+		ok := err == nil
+		if ok {
+			_, verr := memo.ApplyDelta(p.prevFlat, d)
+			ok = verr == nil
+		}
+		if ok {
+			if sz, err := trace.DeltaTransferSize(&trace.DeltaChain{Game: p.game, Deltas: []trace.TableDelta{*d}}); err != nil || int(sz) >= len(flat.Image()) {
+				ok = false
+			}
+		}
+		if ok {
+			p.deltas = append(p.deltas, d)
+			if len(p.deltas) > p.deltaCap {
+				p.deltas = append([]*trace.TableDelta(nil), p.deltas[len(p.deltas)-p.deltaCap:]...)
+			}
+		} else {
+			p.deltas = nil
+		}
+	}
+	p.prevFlat = flat
 	p.version++
 	p.latest = &TableUpdate{
 		Game:           p.game,
 		Version:        p.version,
 		Selection:      res.Selection,
-		Table:          table,
+		Table:          flat,
 		Metrics:        res.Final,
 		ProfileRecords: p.profile.Len(),
 	}

@@ -143,13 +143,12 @@ func (sh *shard) enqueue(run func() error) (err error, shed bool) {
 }
 
 // profiler returns (creating if needed) the shard's profiler for game.
-func (sh *shard) profiler(game string, cfg pfi.Config, legacy bool, deltaCap int) *Profiler {
+func (sh *shard) profiler(game string, cfg pfi.Config, deltaCap int) *Profiler {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	p, ok := sh.profilers[game]
 	if !ok {
 		p = NewProfiler(game, cfg)
-		p.SetLegacyTables(legacy)
 		p.SetDeltaCap(deltaCap)
 		sh.profilers[game] = p
 	}
@@ -232,15 +231,18 @@ func (s *Service) handleShardz(w http.ResponseWriter, r *http.Request) {
 	_ = enc.Encode(s.Shardz())
 }
 
-// handleUpdate is the generation-negotiated OTA endpoint:
+// handleUpdate is the generation-negotiated OTA endpoint, the only
+// route a table leaves the cloud by:
 //
 //	GET /v1/update?game=G&gen=N
 //
 // gen is the table version the device currently serves (0 or absent:
 // none). Responses: 404 no table built; 304 the device is current; else
-// a delta chain (X-Snip-Format: delta) when the retained chain covers
-// gen and is smaller than the image, otherwise the full table exactly
-// as /v1/table would serve it.
+// a SNIPDLT1 delta chain (X-Snip-Format: delta) when the retained chain
+// covers gen and is smaller than the image, otherwise the SNIPFLT1 image
+// (X-Snip-Format: flat). The image is the serving structure itself: the
+// device validates header + CRC and probes straight out of the buffer.
+// The build metadata rides X-Snip-* response headers either way.
 func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	game, ok := gameParam(w, r)
 	if !ok {
@@ -265,43 +267,48 @@ func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	sh := s.shardFor(game)
-	if flat, isFlat := up.Table.(*memo.FlatTable); isFlat {
-		if chain := p.DeltaChainFrom(gen); chain != nil {
-			var buf bytes.Buffer
-			if err := trace.EncodeDeltaChain(&buf, chain); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			// Serving a chain larger than the image it reconstructs would
-			// be delta theater; prefer the full image.
-			if buf.Len() < len(flat.Image()) {
-				pm, err := json.Marshal(up.Metrics)
-				if err != nil {
-					http.Error(w, err.Error(), http.StatusInternalServerError)
-					return
-				}
-				w.Header().Set("Content-Type", "application/octet-stream")
-				w.Header().Set("X-Snip-Format", "delta")
-				w.Header().Set("X-Snip-Game", up.Game)
-				w.Header().Set("X-Snip-Version", strconv.Itoa(up.Version))
-				w.Header().Set("X-Snip-Records", strconv.Itoa(up.ProfileRecords))
-				w.Header().Set("X-Snip-Pfi", string(pm))
-				_, _ = w.Write(buf.Bytes())
-				sh.met.otaDelta.Inc()
-				sh.met.deltaBytes.Add(int64(buf.Len()))
-				return
-			}
+	image := up.Table.(*memo.FlatTable).Image() // Rebuild only builds flat tables
+	format, payload := "flat", image
+	if chain := p.DeltaChainFrom(gen); chain != nil {
+		var buf bytes.Buffer
+		if err := trace.EncodeDeltaChain(&buf, chain); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		// Serving a chain larger than the image it reconstructs would be
+		// delta theater; prefer the full image.
+		if buf.Len() < len(image) {
+			format, payload = "delta", buf.Bytes()
 		}
 	}
-	s.serveFullTable(w, up, sh)
+	pm, err := json.Marshal(up.Metrics)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("X-Snip-Format", format)
+	w.Header().Set("X-Snip-Game", up.Game)
+	w.Header().Set("X-Snip-Version", strconv.Itoa(up.Version))
+	w.Header().Set("X-Snip-Records", strconv.Itoa(up.ProfileRecords))
+	w.Header().Set("X-Snip-Pfi", string(pm))
+	_, _ = w.Write(payload)
+	sh := s.shardFor(game)
+	if format == "delta" {
+		sh.met.otaDelta.Inc()
+		sh.met.deltaBytes.Add(int64(len(payload)))
+		return
+	}
+	s.met.tablesServed.Inc()
+	sh.met.otaFull.Inc()
+	sh.met.fullBytes.Add(int64(len(payload)))
 }
 
 // UpdateResult describes how FetchUpdate brought the device current.
 type UpdateResult struct {
 	// Update is the freshly applicable table, nil when NotModified.
 	Update *TableUpdate
-	// Format is how the final table arrived: "delta", "flat" or "gob".
+	// Format is how the final table arrived: "delta" or "flat".
 	// Empty when NotModified.
 	Format string
 	// NotModified reports the device was already current.
@@ -323,11 +330,12 @@ type UpdateResult struct {
 // FetchUpdate negotiates an OTA update: it reports the generation the
 // device serves (haveVersion, with have as the local flat table) and
 // applies whatever comes back — a delta chain patched onto have with
-// full LoadFlatTable validation (ApplyDeltaChain), a raw flat image, or
-// a legacy gob update. A delta chain that fails to decode or apply is
-// not an error: the client falls back to the full table and reports it
-// in the result, so a device whose real generation drifted from what it
-// reported (e.g. after a guard rollback) self-heals at the next fetch.
+// full LoadFlatTable validation (ApplyDeltaChain), or a raw flat image.
+// FetchUpdate(game, 0, nil) is a full fetch. A delta chain that fails to
+// decode or apply is not an error: the client falls back to a full
+// fetch and reports it in the result, so a device whose real generation
+// drifted from what it reported (e.g. after a guard rollback) self-heals
+// at the next fetch.
 func (c *Client) FetchUpdate(game string, haveVersion int, have *memo.FlatTable) (*UpdateResult, error) {
 	if have == nil {
 		haveVersion = 0
@@ -372,34 +380,23 @@ func (c *Client) FetchUpdate(game string, haveVersion int, have *memo.FlatTable)
 				return res, nil
 			}
 		}
-		// The chain is unusable on this base. Fetch the full table; the
+		// The chain is unusable on this base. Fetch the full image; the
 		// wasted chain bytes stay counted.
-		res.FullFallback = true
-		up, err := c.FetchTable(game)
+		full, err := c.FetchUpdate(game, 0, nil)
 		if err != nil {
 			return nil, fmt.Errorf("cloud: full-image fallback after delta failure (%v): %w", derr, err)
 		}
-		res.Update = up
-		res.Format = "flat"
-		if _, ok := up.Table.(*memo.FlatTable); !ok {
-			res.Format = "gob"
+		if full.NotModified {
+			return nil, fmt.Errorf("cloud: full-image fallback after delta failure (%v): no table served", derr)
 		}
-		full := tableWireSize(up)
-		res.FullBytes = full
-		res.WireBytes += full
+		res.Update = full.Update
+		res.Format = full.Format
+		res.FullFallback = true
+		res.FullBytes = full.WireBytes
+		res.WireBytes += full.WireBytes
 		return res, nil
 	}
-	// Full payload straight off /v1/update: flat image or legacy gob.
 	res.FullBytes = res.WireBytes
-	if !memo.IsFlatImage(body) {
-		up, err := DecodeUpdate(bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		res.Update = up
-		res.Format = "gob"
-		return res, nil
-	}
 	t, err := memo.LoadFlatTable(body)
 	if err != nil {
 		return nil, fmt.Errorf("cloud: flat table payload: %w", err)
@@ -434,21 +431,3 @@ func updateFromFlatHeaders(resp *http.Response, game string, t *memo.FlatTable) 
 	}
 	return up, nil
 }
-
-// tableWireSize is what serving up as a full OTA payload puts on the
-// wire: the raw image for a flat table, the gob encoding otherwise.
-func tableWireSize(up *TableUpdate) units.Size {
-	if flat, ok := up.Table.(*memo.FlatTable); ok {
-		return units.Size(len(flat.Image()))
-	}
-	var cw countingWriter
-	if err := EncodeUpdate(&cw, up); err != nil {
-		return 0
-	}
-	return units.Size(cw.n)
-}
-
-// countingWriter measures encoded size without buffering.
-type countingWriter struct{ n int64 }
-
-func (c *countingWriter) Write(p []byte) (int, error) { c.n += int64(len(p)); return len(p), nil }

@@ -74,18 +74,12 @@ func TestShardedRebuildDeterminism(t *testing.T) {
 		imgs := make(map[string][]byte)
 		for _, g := range gameNames {
 			for _, sl := range logs[g] {
-				if err := client.Upload(g, sl.seed, sl.log); err != nil {
-					t.Fatal(err)
-				}
+				uploadSession(t, client, g, sl.seed, sl.log)
 			}
 			if err := client.Rebuild(g); err != nil {
 				t.Fatal(err)
 			}
-			up, err := client.FetchTable(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			flat, ok := up.Table.(*memo.FlatTable)
+			flat, ok := fetchFull(t, client, g).Table.(*memo.FlatTable)
 			if !ok {
 				t.Fatalf("shards=%d %s: fetched table not flat", shards, g)
 			}
@@ -125,10 +119,7 @@ func TestUpdateEndpointNegotiation(t *testing.T) {
 		t.Fatalf("bad gen: status %d body %q", resp.StatusCode, body)
 	}
 
-	dev := record(t, game, 0xC1)
-	if err := client.Upload(game, 0xC1, dev.EventLog); err != nil {
-		t.Fatal(err)
-	}
+	uploadSession(t, client, game, 0xC1, record(t, game, 0xC1).EventLog)
 	if err := client.Rebuild(game); err != nil {
 		t.Fatal(err)
 	}
@@ -148,10 +139,7 @@ func TestUpdateEndpointNegotiation(t *testing.T) {
 
 	// Grow the profile a little and rebuild: version 2, and the cloud
 	// retains a v1->v2 delta.
-	dev2 := record(t, game, 0xC2)
-	if err := client.Upload(game, 0xC2, dev2.EventLog); err != nil {
-		t.Fatal(err)
-	}
+	uploadSession(t, client, game, 0xC2, record(t, game, 0xC2).EventLog)
 	if err := client.Rebuild(game); err != nil {
 		t.Fatal(err)
 	}
@@ -174,14 +162,10 @@ func TestUpdateEndpointNegotiation(t *testing.T) {
 	if res2.Update == nil || res2.Update.Version != 2 {
 		t.Fatalf("gen=1 result %+v", res2)
 	}
-	full, err := client.FetchTable(game)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantImg := full.Table.(*memo.FlatTable).Image()
+	wantImg := fetchFull(t, client, game).Table.(*memo.FlatTable).Image()
 	gotImg := res2.Update.Table.(*memo.FlatTable).Image()
 	if !bytes.Equal(gotImg, wantImg) {
-		t.Fatalf("update path image (%d bytes, format %s) differs from /v1/table image (%d bytes)",
+		t.Fatalf("delta path image (%d bytes, format %s) differs from the full image (%d bytes)",
 			len(gotImg), res2.Format, len(wantImg))
 	}
 	if res2.Format == "delta" {
@@ -197,7 +181,9 @@ func TestUpdateEndpointNegotiation(t *testing.T) {
 // TestFetchUpdateFallsBackOnBaseMismatch pins the self-healing contract:
 // a device whose reported generation does not match the table it actually
 // holds (the post-rollback drift case) gets the full image, not an error,
-// with both the wasted delta bytes and the full bytes accounted.
+// with both the wasted delta bytes and the full bytes accounted. Two
+// CandyCrush builds retain a one-link chain, so the cloud offers a delta
+// and the fallback is always taken.
 func TestFetchUpdateFallsBackOnBaseMismatch(t *testing.T) {
 	svc := NewShardedService(pfi.DefaultConfig(), 2)
 	srv := httptest.NewServer(svc.Handler())
@@ -207,10 +193,7 @@ func TestFetchUpdateFallsBackOnBaseMismatch(t *testing.T) {
 	const game = "CandyCrush"
 
 	for seed := uint64(1); seed <= 2; seed++ {
-		dev := record(t, game, seed)
-		if err := client.Upload(game, seed, dev.EventLog); err != nil {
-			t.Fatal(err)
-		}
+		uploadSession(t, client, game, seed, record(t, game, seed).EventLog)
 		if err := client.Rebuild(game); err != nil {
 			t.Fatal(err)
 		}
@@ -230,19 +213,22 @@ func TestFetchUpdateFallsBackOnBaseMismatch(t *testing.T) {
 	if res.DeltaLinks != 0 {
 		t.Fatalf("mismatched base applied a delta: %+v", res)
 	}
-	// When the cloud had a delta to offer, the failed chain must be
-	// visible in the accounting.
-	if res.FullFallback {
-		if res.DeltaBytes == 0 || res.FullBytes == 0 || res.WireBytes != res.DeltaBytes+res.FullBytes {
-			t.Fatalf("fallback accounting %+v", res)
-		}
+	// The failed chain stays visible in the accounting.
+	if !res.FullFallback || res.Format != "flat" {
+		t.Fatalf("no fallback taken: %+v", res)
 	}
-	full, err := client.FetchTable(game)
+	if res.DeltaBytes == 0 || res.FullBytes == 0 || res.WireBytes != res.DeltaBytes+res.FullBytes {
+		t.Fatalf("fallback accounting %+v", res)
+	}
+	full, err := client.FetchUpdate(game, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(res.Update.Table.(*memo.FlatTable).Image(), full.Table.(*memo.FlatTable).Image()) {
-		t.Fatal("fallback table differs from /v1/table")
+	if !bytes.Equal(res.Update.Table.(*memo.FlatTable).Image(), full.Update.Table.(*memo.FlatTable).Image()) {
+		t.Fatal("fallback table differs from the full image")
+	}
+	if res.FullBytes != full.WireBytes {
+		t.Fatalf("fallback full bytes %v, full fetch moved %v", res.FullBytes, full.WireBytes)
 	}
 }
 
@@ -274,10 +260,7 @@ func TestShardzEndpoint(t *testing.T) {
 
 	gameNames := []string{"Colorphun", "CandyCrush", "MemoryGame"}
 	for _, g := range gameNames {
-		dev := record(t, g, 3)
-		if err := client.Upload(g, 3, dev.EventLog); err != nil {
-			t.Fatal(err)
-		}
+		uploadSession(t, client, g, 3, record(t, g, 3).EventLog)
 		if err := client.Rebuild(g); err != nil {
 			t.Fatal(err)
 		}

@@ -9,6 +9,7 @@ import (
 	"snip/internal/obs"
 	"snip/internal/pfi"
 	"snip/internal/schemes"
+	"snip/internal/trace"
 	"snip/internal/units"
 )
 
@@ -25,6 +26,7 @@ func bootCloud(t *testing.T) (*cloud.Service, *httptest.Server, *cloud.Client, m
 	srv := httptest.NewServer(svc.Handler())
 	t.Cleanup(srv.Close)
 	client := cloud.NewClient(srv.URL)
+	var boot []trace.SessionEvents
 	for seed := uint64(900); seed < 903; seed++ {
 		r, err := schemes.Run(schemes.Config{
 			Game: testGame, Seed: seed, Duration: testDur,
@@ -33,18 +35,19 @@ func bootCloud(t *testing.T) (*cloud.Service, *httptest.Server, *cloud.Client, m
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := client.Upload(testGame, seed, r.EventLog); err != nil {
-			t.Fatal(err)
-		}
+		boot = append(boot, trace.SessionEvents{Seed: seed, Log: r.EventLog})
+	}
+	if _, err := client.UploadBatch(testGame, boot); err != nil {
+		t.Fatal(err)
 	}
 	if err := client.Rebuild(testGame); err != nil {
 		t.Fatal(err)
 	}
-	up, err := client.FetchTable(testGame)
+	res, err := client.FetchUpdate(testGame, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return svc, srv, client, up.Table
+	return svc, srv, client, res.Update.Table
 }
 
 // TestFleetEndToEnd is the integration gate: 8 devices serve from one
@@ -109,13 +112,13 @@ func TestFleetEndToEnd(t *testing.T) {
 	}
 
 	// The cloud saw every session, individually counted, via the batch
-	// endpoint (plus the 3 boot uploads).
+	// endpoint (plus the 3 sessions of the one boot batch).
 	snap := svc.Metrics().Snapshot()
 	if got := snap.Counters["snip_cloud_uploads_total"]; got != int64(devices*sessions+3) {
 		t.Errorf("cloud uploads %d, want %d", got, devices*sessions+3)
 	}
-	if got := snap.Counters["snip_cloud_upload_batches_total"]; got != int64(devices) {
-		t.Errorf("cloud batches %d, want %d", got, devices)
+	if got := snap.Counters["snip_cloud_upload_batches_total"]; got != int64(devices+1) {
+		t.Errorf("cloud batches %d, want %d", got, devices+1)
 	}
 
 	// Fleet-side metrics mirror the result.

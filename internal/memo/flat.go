@@ -61,8 +61,7 @@ import (
 // are a deterministic function of the table contents, and a flat table's
 // Fingerprint equals its source's.
 
-// flatMagic identifies a flat table image; it doubles as the format
-// sniff for OTA payloads (a gob stream can never start with it).
+// flatMagic identifies a flat table image.
 const flatMagic = "SNIPFLT1"
 
 // FlatLayoutVersion is the current image layout version.
@@ -94,12 +93,6 @@ const (
 // or oversized images, bad magic/version, CRC mismatches, and structural
 // inconsistencies between the index and the entry data.
 var ErrFlatCorrupt = errors.New("memo: corrupt flat table image")
-
-// IsFlatImage reports whether b starts like a flat table image — the
-// cheap format sniff the OTA client uses to pick a decode path.
-func IsFlatImage(b []byte) bool {
-	return len(b) >= len(flatMagic) && string(b[:len(flatMagic)]) == flatMagic
-}
 
 // flatWriter accumulates one arena section.
 type flatWriter struct{ b []byte }
@@ -405,7 +398,7 @@ func LoadFlatTable(img []byte) (*FlatTable, error) {
 	if len(img) < flatHeaderLen {
 		return nil, corrupt("image %d bytes, header needs %d", len(img), flatHeaderLen)
 	}
-	if !IsFlatImage(img) {
+	if string(img[:len(flatMagic)]) != flatMagic {
 		return nil, corrupt("bad magic %q", img[:len(flatMagic)])
 	}
 	if got := binary.LittleEndian.Uint32(img[52:]); got != crc32.ChecksumIEEE(img[0:52]) {
@@ -778,8 +771,8 @@ func (t *FlatTable) Fingerprint() uint64 { return t.fp }
 func (t *FlatTable) SetMetrics(m *TableMetrics) { t.metrics = m }
 
 // Export rebuilds the gob-friendly wire form from the flat data. It
-// exists for the legacy OTA path and the chaos injector's deep copies;
-// the serving path never calls it.
+// exists for the chaos injector's deep copies; the serving path never
+// calls it.
 func (t *FlatTable) Export() *Wire {
 	buckets := make(map[string]map[uint64]*Bucket, len(t.types))
 	for bi := 0; bi < t.bucketCnt; bi++ {

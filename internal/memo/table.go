@@ -2,11 +2,11 @@ package memo
 
 import "snip/internal/units"
 
-// Table is the read side shared by both deployed table backends: the
-// map-of-structs SnipTable (the build-time shape, kept as the legacy
-// serving path behind a flag) and the FlatTable compiled from it (the
-// default serving shape: one contiguous arena plus an open-addressing
-// index, see flat.go). Everything that serves lookups — schemes, the
+// Table is the read side shared by both table backends: the
+// map-of-structs SnipTable (the build-time shape, and the reference the
+// lookup gate measures the flat backend against) and the FlatTable
+// compiled from it (the serving shape and the only OTA payload: one
+// contiguous arena plus an open-addressing index, see flat.go). Everything that serves lookups — schemes, the
 // fleet layer, Shared snapshots, the OTA client — talks to this
 // interface, so a backend swap never touches a call site.
 //
@@ -36,7 +36,7 @@ type Table interface {
 	// rows give equal fingerprints across backends.
 	Fingerprint() uint64
 	// Export snapshots the table into its gob-friendly wire form (the
-	// legacy OTA payload and the chaos injector's deep-copy source).
+	// chaos injector's deep-copy source).
 	Export() *Wire
 	// SetMetrics attaches (nil detaches) observability counters. Attach
 	// before the table is shared.

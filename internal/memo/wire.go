@@ -6,8 +6,10 @@ import (
 	"snip/internal/trace"
 )
 
-// Wire is the serializable form of a SnipTable for OTA delivery
-// (encoding/gob-friendly: only exported fields).
+// Wire is the serializable form of a SnipTable (gob-friendly: only
+// exported fields). The OTA payload is the flat image, not this; Wire is
+// the deep-copy source for fault injection and the bridge FromWire
+// rebuilds a map-backed table from.
 type Wire struct {
 	Selection Selection
 	Buckets   map[string]map[uint64]*Bucket

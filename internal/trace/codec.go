@@ -19,7 +19,7 @@ import (
 // gob stream for the actual transfer and JSON for debugging/inspection.
 // The paper notes that SNIP records "only the event inputs" on-device to
 // keep the client overhead negligible; EncodeEventsOnly implements that
-// reduced form.
+// reduced form, and a SessionBatch carries it to the cloud.
 
 // magic distinguishes full profiles, events-only profiles, gzip'd
 // session batches and telemetry batches on the wire.
@@ -86,23 +86,6 @@ func EncodeEventsOnly(w io.Writer, l *EventLog) error {
 		return fmt.Errorf("trace: encode events: %w", err)
 	}
 	return bw.Flush()
-}
-
-// DecodeEventsOnly reads an events-only log.
-func DecodeEventsOnly(r io.Reader) (*EventLog, error) {
-	br := bufio.NewReader(r)
-	var magic [9]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: decode header: %w", err)
-	}
-	if string(magic[:]) != magicEventsOnly {
-		return nil, fmt.Errorf("trace: bad magic %q", magic)
-	}
-	var l EventLog
-	if err := gob.NewDecoder(br).Decode(&l); err != nil {
-		return nil, fmt.Errorf("trace: decode events: %w", err)
-	}
-	return &l, nil
 }
 
 // SessionEvents is one session's events-only log paired with the seed

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -249,21 +250,26 @@ func TestCodecRejectsBadMagic(t *testing.T) {
 	}
 }
 
+// TestEventsOnlyRoundtrip: an events-only log survives the upload wire,
+// a batch of one session, intact.
 func TestEventsOnlyRoundtrip(t *testing.T) {
 	l := &EventLog{Game: "g", Events: []LoggedEvent{
 		{Type: "tap", Seq: 1, Time: 5, Values: []int64{1, 2, 3, 0, 1}},
 		{Type: "vsync", Seq: 2, Time: 6, Values: []int64{7}},
 	}}
 	var buf bytes.Buffer
-	if err := EncodeEventsOnly(&buf, l); err != nil {
+	if err := EncodeBatch(&buf, &SessionBatch{Game: "g", Sessions: []SessionEvents{{Seed: 3, Log: l}}}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeEventsOnly(&buf)
+	b, err := DecodeBatch(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Events) != 2 || got.Events[0].Values[2] != 3 {
-		t.Fatalf("roundtrip %+v", got)
+	if len(b.Sessions) != 1 || b.Sessions[0].Seed != 3 {
+		t.Fatalf("roundtrip %+v", b)
+	}
+	if got := b.Sessions[0].Log; !reflect.DeepEqual(got, l) {
+		t.Fatalf("roundtrip %+v, want %+v", got, l)
 	}
 }
 
