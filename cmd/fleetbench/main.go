@@ -1,7 +1,7 @@
 // Command fleetbench is the reproducible fleet-serving load harness: it
 // trains a SNIP table, spins up an in-process cloud profiler, then runs
 // the device fleet at each requested concurrency, measuring fleet-wide
-// lookups/sec, p50/p99 probe latency, batched-upload wire bytes and the
+// events/sec, p50/p99 probe latency, batched-upload wire bytes and the
 // live OTA swap. Results go to a JSON bench file. With telemetry on (the
 // default) each sweep point also ships per-generation device telemetry
 // and prints the cloud's drift / ingest-pressure verdicts from
@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"snip"
+	"snip/internal/cloud"
 )
 
 // benchFile is the BENCH_fleet.json schema. The ci.sh smoke gate runs a
@@ -111,83 +112,7 @@ type benchFile struct {
 // admission-controller view captured right after the run.
 type fleetRun struct {
 	*snip.FleetReport
-	Overloadz *overloadzReply `json:"overloadz,omitempty"`
-}
-
-// overloadzReply mirrors GET /v1/overloadz: the admission controller's
-// queue occupancy, shed ratio, autoscale signal, and per-class
-// conservation ledger (offered = accepted + shed + dropped per class).
-type overloadzReply struct {
-	QueueCap   int             `json:"queue_cap"`
-	Shards     int             `json:"shards"`
-	Occupancy  float64         `json:"occupancy"`
-	ShedRatio  float64         `json:"shed_ratio"`
-	Signal     float64         `json:"signal"`
-	Verdict    string          `json:"verdict"`
-	QuotaRate  float64         `json:"quota_rate_per_sec,omitempty"`
-	QuotaBurst float64         `json:"quota_burst,omitempty"`
-	QuotaShed  int64           `json:"quota_shed"`
-	Classes    []overloadClass `json:"classes"`
-}
-
-type overloadClass struct {
-	Class    string `json:"class"`
-	Offered  int64  `json:"offered"`
-	Accepted int64  `json:"accepted"`
-	Shed     int64  `json:"shed"`
-	Dropped  int64  `json:"dropped"`
-}
-
-// fleetzReply mirrors the subset of GET /v1/fleetz the bench prints and
-// gates on: the per-game drift and ingest-pressure signals derived from
-// the telemetry the sweep just shipped.
-type fleetzReply struct {
-	Records int64        `json:"telemetry_records"`
-	Games   []fleetzGame `json:"games"`
-}
-
-type fleetzGame struct {
-	Game            string      `json:"game"`
-	LiveGeneration  int64       `json:"live_generation"`
-	PrevGeneration  int64       `json:"prev_generation"`
-	Drift           float64     `json:"drift"`
-	DriftVerdict    string      `json:"drift_verdict"`
-	Pressure        float64     `json:"pressure"`
-	PressureVerdict string      `json:"pressure_verdict"`
-	Generations     []fleetzGen `json:"generations"`
-}
-
-type fleetzGen struct {
-	Generation       int64   `json:"generation"`
-	Records          int64   `json:"records"`
-	Devices          int     `json:"devices"`
-	WindowedHitRate  float64 `json:"windowed_hit_rate"`
-	Mispredict       float64 `json:"windowed_mispredict_ratio"`
-	EffectiveHitRate float64 `json:"effective_hit_rate"`
-}
-
-// energyzReply mirrors the subset of GET /v1/energyz the bench prints
-// and gates on: the per-game energy-regression verdict and the device
-// monotone-conservation counter.
-type energyzReply struct {
-	Games []energyzGame `json:"games"`
-}
-
-type energyzGame struct {
-	Game               string       `json:"game"`
-	LiveGeneration     int64        `json:"live_generation"`
-	PrevGeneration     int64        `json:"prev_generation"`
-	Regression         float64      `json:"regression"`
-	RegressionVerdict  string       `json:"regression_verdict"`
-	MonotoneViolations int64        `json:"monotone_violations"`
-	Generations        []energyzGen `json:"generations"`
-}
-
-type energyzGen struct {
-	Generation       int64   `json:"generation"`
-	EnergyPerEventUJ float64 `json:"energy_per_event_uj"`
-	NetPerEventUJ    float64 `json:"net_per_event_uj"`
-	BatteryHours     float64 `json:"battery_hours"`
+	Overloadz *cloud.OverloadzReply `json:"overloadz,omitempty"`
 }
 
 func main() {
@@ -320,9 +245,9 @@ func main() {
 			health = "DEGRADED"
 		}
 		fmt.Fprintf(os.Stderr,
-			"devices=%d  %.0f lookups/sec  p50=%dns p99=%dns  hit=%.1f%%  wire=%dB (saved %.1f%%)  swaps=%d  retries=%d  %s\n",
-			n, rep.LookupsPerSec, rep.P50LookupNS, rep.P99LookupNS,
-			100*rep.HitRate, rep.UploadBytes, 100*rep.TransferSavings, rep.Swaps,
+			"devices=%d  %.0f events/sec  p50=%dns p99=%dns  hit=%.1f%%  wire=%dB (saved %.1f%%)  swaps=%d  retries=%d  %s\n",
+			n, rep.EventsPerSec, rep.P50LookupNS, rep.P99LookupNS,
+			100*rep.Lookup.HitRate(), rep.UploadBytes, 100*rep.TransferSavings(), rep.Swaps,
 			rep.Retries, health)
 		if rep.Chaos != nil || rep.Guard != nil {
 			line := fmt.Sprintf("          failed_devices=%d", rep.FailedDevices)
@@ -380,7 +305,7 @@ func main() {
 					fmt.Fprintf(os.Stderr,
 						"            gen %-2d  %3d records / %d devices  hit=%5.1f%%  mispredict=%4.1f%%  eff=%5.1f%%\n",
 						gen.Generation, gen.Records, gen.Devices, 100*gen.WindowedHitRate,
-						100*gen.Mispredict, 100*gen.EffectiveHitRate)
+						100*gen.WindowedMispredict, 100*gen.EffectiveHitRate)
 				}
 			}
 		}
@@ -402,12 +327,7 @@ func main() {
 		}
 	}
 
-	f, err := os.Create(*out)
-	fatalIf(err)
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	fatalIf(enc.Encode(file))
-	fatalIf(f.Close())
+	fatalIf(writeBench(*out, file))
 	fmt.Printf("wrote %s (%d runs)\n", *out, len(file.Runs))
 
 	switch *metricsMode {
@@ -447,7 +367,7 @@ type runSettings struct {
 // in the sweep output. Every run also captures /v1/overloadz — the
 // admission controller's conservation ledger — and, in overload runs,
 // probes /v1/healthz to prove guard-class traffic is never shed.
-func runOnce(set runSettings, devices int, met *snip.Metrics) (*fleetRun, *fleetzReply, *energyzReply, error) {
+func runOnce(set runSettings, devices int, met *snip.Metrics) (*fleetRun, *cloud.FleetzReply, *cloud.EnergyzReply, error) {
 	svc := snip.NewCloudServiceWithOptions(snip.DefaultPFIOptions(), snip.CloudServiceOptions{
 		Shards:          set.shards,
 		QueueCap:        set.queueCap,
@@ -520,19 +440,21 @@ func runOnce(set runSettings, devices int, met *snip.Metrics) (*fleetRun, *fleet
 			return nil, nil, nil, err
 		}
 	}
-	if run.Overloadz, err = fetchOverloadz(cloudURL); err != nil {
+	run.Overloadz = new(cloud.OverloadzReply)
+	if err := getJSON(cloudURL+"/v1/overloadz", run.Overloadz); err != nil {
 		return nil, nil, nil, fmt.Errorf("overloadz after run: %w", err)
 	}
 	if !set.telemetry {
 		return run, nil, nil, nil
 	}
-	fz, err := fetchFleetz(cloudURL)
-	if err != nil {
+	fz := new(cloud.FleetzReply)
+	if err := getJSON(cloudURL+"/v1/fleetz", fz); err != nil {
 		return nil, nil, nil, fmt.Errorf("fleetz after run: %w", err)
 	}
-	var ez *energyzReply
+	var ez *cloud.EnergyzReply
 	if set.energy {
-		if ez, err = fetchEnergyz(cloudURL); err != nil {
+		ez = new(cloud.EnergyzReply)
+		if err := getJSON(cloudURL+"/v1/energyz", ez); err != nil {
 			return nil, nil, nil, fmt.Errorf("energyz after run: %w", err)
 		}
 	}
@@ -558,21 +480,19 @@ func probeHealthz(base string, n int) error {
 	return nil
 }
 
-// fetchOverloadz reads the admission controller's post-run state.
-func fetchOverloadz(base string) (*overloadzReply, error) {
-	resp, err := http.Get(base + "/v1/overloadz")
+// getJSON decodes one of the in-process cloud's GET /v1/*z replies
+// into v. The service is local and alive, so any failure here is a
+// harness bug, not weather.
+func getJSON(url string, v any) error {
+	resp, err := http.Get(url)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("overloadz: HTTP %d", resp.StatusCode)
+		return fmt.Errorf("HTTP %d", resp.StatusCode)
 	}
-	var oz overloadzReply
-	if err := json.NewDecoder(resp.Body).Decode(&oz); err != nil {
-		return nil, err
-	}
-	return &oz, nil
+	return json.NewDecoder(resp.Body).Decode(v)
 }
 
 // parseGrades parses the -grades cycle ("1.0,0.8,0.5").
@@ -589,42 +509,6 @@ func parseGrades(s string) ([]float64, error) {
 		out = append(out, g)
 	}
 	return out, nil
-}
-
-// fetchFleetz reads the in-process cloud's fleet rollup. The service is
-// local and alive, so any failure here is a harness bug, not weather.
-func fetchFleetz(base string) (*fleetzReply, error) {
-	resp, err := http.Get(base + "/v1/fleetz")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fleetz: HTTP %d", resp.StatusCode)
-	}
-	var fz fleetzReply
-	if err := json.NewDecoder(resp.Body).Decode(&fz); err != nil {
-		return nil, err
-	}
-	return &fz, nil
-}
-
-// fetchEnergyz reads the in-process cloud's energy rollup — the bench's
-// post-run conservation gate (monotone violations must be zero).
-func fetchEnergyz(base string) (*energyzReply, error) {
-	resp, err := http.Get(base + "/v1/energyz")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("energyz: HTTP %d", resp.StatusCode)
-	}
-	var ez energyzReply
-	if err := json.NewDecoder(resp.Body).Decode(&ez); err != nil {
-		return nil, err
-	}
-	return &ez, nil
 }
 
 func parseCounts(s string) ([]int, error) {
@@ -700,15 +584,15 @@ func validateFile(path string) error {
 				return fmt.Errorf("run %d: sessions %d != devices %d * %d", i, r.Sessions, r.Devices, f.SessionsPerDevice)
 			case r.FailedDevices != 0:
 				return fmt.Errorf("run %d: %d failed devices without chaos", i, r.FailedDevices)
-			case r.Batches > 0 && r.UploadBytes >= r.RawUploadBytes:
-				return fmt.Errorf("run %d: batching saved nothing (%dB wire vs %dB raw)", i, r.UploadBytes, r.RawUploadBytes)
+			case r.Batches > 0 && r.UploadBytes >= r.RawBytes:
+				return fmt.Errorf("run %d: batching saved nothing (%dB wire vs %dB raw)", i, r.UploadBytes, r.RawBytes)
 			}
 		}
 		switch {
-		case r.Lookups <= 0 || r.Events <= 0:
+		case r.Lookup.Lookups <= 0 || r.Events <= 0:
 			return fmt.Errorf("run %d: no lookups served", i)
-		case r.LookupsPerSec <= 0:
-			return fmt.Errorf("run %d: missing lookups/sec", i)
+		case r.EventsPerSec <= 0:
+			return fmt.Errorf("run %d: missing events/sec", i)
 		case r.P50LookupNS <= 0 || r.P99LookupNS < r.P50LookupNS:
 			return fmt.Errorf("run %d: bad latency estimates p50=%d p99=%d", i, r.P50LookupNS, r.P99LookupNS)
 		}
@@ -898,7 +782,7 @@ func validateEnergy(i int, r *fleetRun, enabled bool) error {
 		return fmt.Errorf("run %d: energy groups sum to %.3fµJ, total says %.3fµJ", i, sum, e.TotalUJ)
 	case e.LookupOverheadUJ < 0 || e.ShadowVerifyUJ < 0 || e.SavedUJ < 0 || e.WastedUJ < 0:
 		return fmt.Errorf("run %d: negative energy cause bucket", i)
-	case r.Hits > 0 && e.SavedUJ <= 0:
+	case r.Lookup.Hits > 0 && e.SavedUJ <= 0:
 		return fmt.Errorf("run %d: hits landed but no short-circuit energy credited", i)
 	case e.ElapsedUS <= 0:
 		return fmt.Errorf("run %d: energy report carries no elapsed time", i)
@@ -931,7 +815,7 @@ func validateHealth(i int, r *fleetRun, chaotic bool) error {
 	case !detail && len(h.Devices) != 0:
 		return fmt.Errorf("run %d: %d device health entries on a compact (>%d device) run",
 			i, len(h.Devices), snip.FleetDetailMax)
-	case r.Hits > 0 && h.SavedInstr <= 0:
+	case r.Lookup.Hits > 0 && h.SavedInstr <= 0:
 		return fmt.Errorf("run %d: hits but no saved instructions", i)
 	case h.P99LookupNS != r.P99LookupNS:
 		return fmt.Errorf("run %d: health p99 %d != run p99 %d", i, h.P99LookupNS, r.P99LookupNS)
@@ -959,6 +843,15 @@ func validateHealth(i int, r *fleetRun, chaotic bool) error {
 		}
 	}
 	return nil
+}
+
+// writeBench writes a bench file as indented JSON.
+func writeBench(path string, v any) error {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(b, '\n'), 0o666)
 }
 
 // writeMemProfile dumps a post-GC heap profile; a no-op without a path.

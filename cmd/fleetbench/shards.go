@@ -116,16 +116,7 @@ func runShardSweep(spec string, gamesN, sessionsPerGame, secs, deltaCap int, out
 			pt.Speedup, pt.QueueShed, pt.TablesFNV)
 	}
 
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(file); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeBench(out, file); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s (%d points)\n", out, len(file.Points))

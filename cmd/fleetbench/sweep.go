@@ -62,16 +62,7 @@ func runSweep(spec string, ops int, gate float64, out string) error {
 			p.Rows, p.MapNSOp, p.FlatNSOp, p.Speedup, p.ImageBytes)
 	}
 
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(file); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeBench(out, file); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s (%d points)\n", out, len(file.Points))

@@ -92,9 +92,9 @@ func main() {
 		fmt.Printf("game:            %s\n", rep.Game)
 		fmt.Printf("devices:         %d\n", rep.Devices)
 		fmt.Printf("events:          %d\n", rep.Events)
-		fmt.Printf("lookups/sec:     %.0f\n", rep.LookupsPerSec)
+		fmt.Printf("events/sec:      %.0f\n", rep.EventsPerSec)
 		fmt.Printf("lookup latency:  p50 %d ns, p99 %d ns\n", rep.P50LookupNS, rep.P99LookupNS)
-		fmt.Printf("hit rate:        %.1f%%\n", 100*rep.HitRate)
+		fmt.Printf("hit rate:        %.1f%%\n", 100*rep.Lookup.HitRate())
 		switch *metricsMode {
 		case "text":
 			fatalIf(met.WriteText(os.Stderr))

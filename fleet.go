@@ -175,165 +175,11 @@ type GuardOptions struct {
 	MinShadowSamples int64
 }
 
-// FleetGuardReport summarizes the mispredict guard's run: how many hits
-// were shadow-verified, how many served wrong outputs, and whether the
-// breaker tripped and the table rolled back.
-type FleetGuardReport struct {
-	ShadowChecks       int64   `json:"shadow_checks"`
-	Mispredicts        int64   `json:"mispredicts"`
-	Trips              int64   `json:"trips"`
-	Rollbacks          int64   `json:"rollbacks"`
-	BreakerOpen        bool    `json:"breaker_open"`
-	TrippedGenerations []int64 `json:"tripped_generations,omitempty"`
-}
-
-// FleetChaosReport summarizes the faults a chaos profile injected.
-type FleetChaosReport struct {
-	Profile string           `json:"profile"`
-	Seed    uint64           `json:"seed"`
-	Total   int64            `json:"total"`
-	Counts  map[string]int64 `json:"counts,omitempty"`
-}
-
-// FleetSLOVerdict is one health threshold comparison.
-type FleetSLOVerdict struct {
-	Name      string  `json:"name"`
-	OK        bool    `json:"ok"`
-	Value     float64 `json:"value"`
-	Threshold float64 `json:"threshold"`
-	Detail    string  `json:"detail,omitempty"`
-}
-
-// FleetDeviceHealth is one device's health view. SavedInstr is a plain
-// instruction counter; EnergyUJ/SavedEnergyUJ carry the real modeled µJ
-// from the energy ledger (zero when FleetOptions.Energy is off).
-type FleetDeviceHealth struct {
-	Device        int     `json:"device"`
-	HitRate       float64 `json:"hit_rate"`
-	SavedInstr    int64   `json:"saved_instr"`
-	EnergyUJ      float64 `json:"energy_uj,omitempty"`
-	SavedEnergyUJ float64 `json:"saved_energy_uj,omitempty"`
-	P99LookupNS   int64   `json:"p99_lookup_ns"`
-	Retries       int     `json:"retries"`
-	Failed        bool    `json:"failed,omitempty"`
-}
-
-// FleetHealth is the run judged against the fleet SLO envelope: hit-rate
-// floor, p99 probe-latency ceiling, and a retries-per-batch ceiling.
-type FleetHealth struct {
-	Healthy         bool                `json:"healthy"`
-	HitRate         float64             `json:"hit_rate"`
-	SavedInstr      int64               `json:"saved_instr"`
-	EnergyUJ        float64             `json:"energy_uj,omitempty"`
-	SavedEnergyUJ   float64             `json:"saved_energy_uj,omitempty"`
-	P99LookupNS     int64               `json:"p99_lookup_ns"`
-	Retries         int                 `json:"retries"`
-	RetriesPerBatch float64             `json:"retries_per_batch"`
-	Verdicts        []FleetSLOVerdict   `json:"verdicts"`
-	Devices         []FleetDeviceHealth `json:"devices,omitempty"`
-}
-
-// FleetReport aggregates a fleet run, JSON-encodable for BENCH files.
-type FleetReport struct {
-	Game     string `json:"game"`
-	Devices  int    `json:"devices"`
-	Sessions int    `json:"sessions"`
-	Events   int64  `json:"events"`
-
-	Lookups int64   `json:"lookups"`
-	Hits    int64   `json:"hits"`
-	HitRate float64 `json:"hit_rate"`
-
-	WallSeconds   float64 `json:"wall_seconds"`
-	LookupsPerSec float64 `json:"lookups_per_sec"`
-	P50LookupNS   int64   `json:"p50_lookup_ns"`
-	P99LookupNS   int64   `json:"p99_lookup_ns"`
-
-	Batches         int     `json:"batches"`
-	UploadBytes     int64   `json:"upload_bytes"`
-	RawUploadBytes  int64   `json:"raw_upload_bytes"`
-	TransferSavings float64 `json:"transfer_savings"`
-
-	Swaps        int64 `json:"swaps"`
-	TableVersion int64 `json:"table_version"`
-	// OTA transfer accounting across the refresh rounds: updates
-	// negotiated, delta-chain applies (and total links), full-image
-	// fallbacks after a failed delta, and the bytes moved on each path.
-	// OTABytes == OTADeltaBytes + OTAFullBytes always.
-	OTAUpdates       int64 `json:"ota_updates"`
-	OTADeltaApplies  int64 `json:"ota_delta_applies"`
-	OTADeltaLinks    int64 `json:"ota_delta_links"`
-	OTAFullFallbacks int64 `json:"ota_full_fallbacks"`
-	OTADeltaBytes    int64 `json:"ota_delta_bytes"`
-	OTAFullBytes     int64 `json:"ota_full_bytes"`
-	OTABytes         int64 `json:"ota_bytes"`
-	OTAMaxChain      int   `json:"ota_max_chain"`
-	// TableGeneration is the generation served at the end — below
-	// TableVersion when the guard rolled a bad OTA push back.
-	TableGeneration int64 `json:"table_generation"`
-	// Rollbacks counts guard-triggered table restorations.
-	Rollbacks int64 `json:"rollbacks"`
-
-	// Retries counts transport retries across every device's uploads.
-	Retries int `json:"retries"`
-	// Batch conservation ledger: OfferedBatches = Batches + BatchesShed
-	// + BatchesDropped on every run. Shed429 counts individual 429
-	// responses the fleet's clients absorbed; BackoffNS the simulated
-	// nanoseconds they spent backing off (virtual time — never slept).
-	OfferedBatches int   `json:"offered_batches"`
-	BatchesShed    int   `json:"batches_shed"`
-	BatchesDropped int   `json:"batches_dropped"`
-	Shed429        int64 `json:"shed_429"`
-	BackoffNS      int64 `json:"backoff_ns"`
-	// FailedDevices counts devices that died mid-run and were isolated
-	// (their partial tallies still count; the run itself never aborts).
-	FailedDevices int `json:"failed_devices"`
-	// Health is the SLO judgment of the run. Always set.
-	Health *FleetHealth `json:"health"`
-	// Guard reports the mispredict guard (nil when disabled).
-	Guard *FleetGuardReport `json:"guard,omitempty"`
-	// Chaos reports injected faults (nil when chaos was off).
-	Chaos *FleetChaosReport `json:"chaos,omitempty"`
-	// Telemetry reports the telemetry pipeline's shipping outcome (nil
-	// when disabled).
-	Telemetry *FleetTelemetryReport `json:"telemetry,omitempty"`
-	// Energy is the fleet-wide energy attribution rollup (nil when the
-	// ledger is disabled).
-	Energy *FleetEnergyReport `json:"energy,omitempty"`
-}
-
-// FleetEnergyReport is the fleet-wide modeled-energy rollup: totals split
-// by the paper's Fig. 2 groups (TotalUJ always equals their sum), the
-// tagged cause buckets, energy per event, and the battery-hours
-// extrapolation of the run's average per-device power (the paper's
-// 5–10-minute-measurement methodology). SavedUJ is a credit — energy the
-// verified short-circuits avoided — and is never part of TotalUJ.
-type FleetEnergyReport struct {
-	TotalUJ   float64 `json:"total_uj"`
-	SensorsUJ float64 `json:"sensors_uj"`
-	MemoryUJ  float64 `json:"memory_uj"`
-	CPUUJ     float64 `json:"cpu_uj"`
-	IPsUJ     float64 `json:"ips_uj"`
-
-	LookupOverheadUJ float64 `json:"lookup_overhead_uj"`
-	ShadowVerifyUJ   float64 `json:"shadow_verify_uj"`
-	SavedUJ          float64 `json:"saved_uj"`
-	WastedUJ         float64 `json:"wasted_uj"`
-
-	EnergyPerEventUJ float64 `json:"energy_per_event_uj"`
-	ElapsedUS        int64   `json:"elapsed_us"`
-	BatteryHours     float64 `json:"battery_hours"`
-}
-
-// FleetTelemetryReport summarizes the device→cloud telemetry pipeline:
-// records folded, batches/bytes shipped, and records lost to failed
-// best-effort uploads.
-type FleetTelemetryReport struct {
-	Records     int64 `json:"records"`
-	Batches     int64 `json:"batches"`
-	UploadBytes int64 `json:"upload_bytes"`
-	Dropped     int64 `json:"dropped"`
-}
+// FleetReport aggregates a fleet run, JSON-encodable for BENCH files:
+// the fleet package's Result itself, so its fields and JSON tags are the
+// one declaration of the report schema. Sub-reports are reached through
+// its fields (Health, Guard, Chaos, Telemetry, Energy).
+type FleetReport = fleet.Result
 
 // RunFleet executes a fleet serving run and reports its aggregate rates.
 func RunFleet(o FleetOptions) (*FleetReport, error) {
@@ -401,138 +247,5 @@ func RunFleet(o FleetOptions) (*FleetReport, error) {
 		// profile has no wire faults.
 		cfg.Client.HTTP.Transport = inj.Transport(cfg.Client.HTTP.Transport)
 	}
-	r, err := fleet.Run(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &FleetReport{
-		Game:     r.Game,
-		Devices:  r.Devices,
-		Sessions: r.Sessions,
-		Events:   r.Events,
-
-		Lookups: r.Lookup.Lookups,
-		Hits:    r.Lookup.Hits,
-		HitRate: r.Lookup.HitRate(),
-
-		WallSeconds:   r.Wall.Seconds(),
-		LookupsPerSec: r.LookupsPerSec,
-		P50LookupNS:   r.P50LookupNS,
-		P99LookupNS:   r.P99LookupNS,
-
-		Batches:         r.Batches,
-		UploadBytes:     r.UploadBytes.Bytes(),
-		RawUploadBytes:  r.RawBytes.Bytes(),
-		TransferSavings: r.TransferSavings(),
-
-		Swaps:            r.Swaps,
-		TableVersion:     r.TableVersion,
-		OTAUpdates:       r.OTAUpdates,
-		OTADeltaApplies:  r.OTADeltaApplies,
-		OTADeltaLinks:    r.OTADeltaLinks,
-		OTAFullFallbacks: r.OTAFullFallbacks,
-		OTADeltaBytes:    r.OTADeltaBytes.Bytes(),
-		OTAFullBytes:     r.OTAFullBytes.Bytes(),
-		OTABytes:         r.OTABytes.Bytes(),
-		OTAMaxChain:      r.OTAMaxChain,
-		TableGeneration:  r.TableGeneration,
-		Rollbacks:        r.Rollbacks,
-		Retries:          r.Retries,
-		OfferedBatches:   r.OfferedBatches,
-		BatchesShed:      r.BatchesShed,
-		BatchesDropped:   r.BatchesDropped,
-		Shed429:          r.Shed429,
-		BackoffNS:        r.BackoffNS,
-		FailedDevices:    r.FailedDevices,
-		Health:           healthReport(r.Health),
-		Guard:            guardReport(r.Guard),
-		Chaos:            chaosReport(inj),
-		Telemetry:        telemetryReport(r.Telemetry),
-		Energy:           energyReport(r.Energy),
-	}, nil
-}
-
-// energyReport mirrors the internal energy rollup into the public type.
-func energyReport(e *fleet.EnergyReport) *FleetEnergyReport {
-	if e == nil {
-		return nil
-	}
-	return &FleetEnergyReport{
-		TotalUJ:          e.TotalUJ,
-		SensorsUJ:        e.SensorsUJ,
-		MemoryUJ:         e.MemoryUJ,
-		CPUUJ:            e.CPUUJ,
-		IPsUJ:            e.IPsUJ,
-		LookupOverheadUJ: e.LookupOverheadUJ,
-		ShadowVerifyUJ:   e.ShadowVerifyUJ,
-		SavedUJ:          e.SavedUJ,
-		WastedUJ:         e.WastedUJ,
-		EnergyPerEventUJ: e.EnergyPerEventUJ,
-		ElapsedUS:        e.ElapsedUS,
-		BatteryHours:     e.BatteryHours,
-	}
-}
-
-// telemetryReport mirrors the internal telemetry summary into the
-// public type.
-func telemetryReport(t *fleet.TelemetryReport) *FleetTelemetryReport {
-	if t == nil {
-		return nil
-	}
-	return &FleetTelemetryReport{
-		Records:     t.Records,
-		Batches:     t.Batches,
-		UploadBytes: t.UploadBytes.Bytes(),
-		Dropped:     t.Dropped,
-	}
-}
-
-// guardReport mirrors the internal guard summary into the public type.
-func guardReport(g *fleet.GuardReport) *FleetGuardReport {
-	if g == nil {
-		return nil
-	}
-	return &FleetGuardReport{
-		ShadowChecks:       g.ShadowChecks,
-		Mispredicts:        g.Mispredicts,
-		Trips:              g.Trips,
-		Rollbacks:          g.Rollbacks,
-		BreakerOpen:        g.BreakerOpen,
-		TrippedGenerations: g.TrippedGenerations,
-	}
-}
-
-// chaosReport mirrors the injector's fault tallies into the public type.
-func chaosReport(inj *chaos.Injector) *FleetChaosReport {
-	if inj == nil {
-		return nil
-	}
-	c := inj.Counts()
-	p := inj.Profile()
-	return &FleetChaosReport{Profile: p.Name, Seed: p.Seed, Total: c.Total(), Counts: c.Map()}
-}
-
-// healthReport mirrors the internal health snapshot into the public,
-// JSON-stable report types.
-func healthReport(h *fleet.HealthSnapshot) *FleetHealth {
-	if h == nil {
-		return nil
-	}
-	out := &FleetHealth{
-		Healthy:         h.Healthy,
-		HitRate:         h.HitRate,
-		SavedInstr:      h.SavedInstr,
-		EnergyUJ:        h.EnergyUJ,
-		SavedEnergyUJ:   h.SavedEnergyUJ,
-		P99LookupNS:     h.P99LookupNS,
-		Retries:         h.Retries,
-		RetriesPerBatch: h.RetriesPerBatch,
-	}
-	for _, v := range h.Verdicts {
-		out.Verdicts = append(out.Verdicts, FleetSLOVerdict(v))
-	}
-	for _, d := range h.Devices {
-		out.Devices = append(out.Devices, FleetDeviceHealth(d))
-	}
-	return out
+	return fleet.Run(cfg)
 }

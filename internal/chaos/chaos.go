@@ -141,36 +141,6 @@ type Counts struct {
 	FlattenFallbacks int64 `json:"table_flatten_fallbacks,omitempty"`
 }
 
-// Map returns the non-zero tallies keyed by fault kind — the
-// JSON-friendly form the public report types use.
-func (c Counts) Map() map[string]int64 {
-	m := make(map[string]int64)
-	for _, kv := range []struct {
-		k string
-		v int64
-	}{
-		{"sensor_dropped", c.SensorDropped},
-		{"sensor_duplicated", c.SensorDuplicated},
-		{"sensor_stuck", c.SensorStuck},
-		{"sensor_out_of_order", c.SensorOutOfOrder},
-		{"device_crashes", c.DeviceCrashes},
-		{"device_stalls", c.DeviceStalls},
-		{"wire_truncated", c.WireTruncated},
-		{"wire_bit_flipped", c.WireBitFlipped},
-		{"wire_bombs", c.WireBombs},
-		{"wire_5xx", c.Wire5xx},
-		{"wire_slowed", c.WireSlowed},
-		{"tables_poisoned", c.TablesPoisoned},
-		{"entries_poisoned", c.EntriesPoisoned},
-		{"table_flatten_fallbacks", c.FlattenFallbacks},
-	} {
-		if kv.v != 0 {
-			m[kv.k] = kv.v
-		}
-	}
-	return m
-}
-
 // Total sums every injected fault.
 func (c Counts) Total() int64 {
 	return c.SensorDropped + c.SensorDuplicated + c.SensorStuck + c.SensorOutOfOrder +
@@ -215,14 +185,6 @@ func New(p Profile) *Injector {
 		p.Seed = 0xC4A05 // "CHAOS"; any fixed non-zero default works
 	}
 	return &Injector{prof: p}
-}
-
-// Profile returns the injector's profile.
-func (i *Injector) Profile() Profile {
-	if i == nil {
-		return Profile{Name: "off"}
-	}
-	return i.prof
 }
 
 // SetMetrics attaches an observability registry; the injector then
@@ -271,6 +233,25 @@ func (i *Injector) Counts() Counts {
 		EntriesPoisoned:  i.entriesPoisoned.Load(),
 		FlattenFallbacks: i.flattenFallbacks.Load(),
 	}
+}
+
+// Report is an injector's run summary: the profile and seed that dealt
+// the faults, and how many of each kind (Counts' omitempty tags keep
+// only the kinds that fired).
+type Report struct {
+	Profile string `json:"profile"`
+	Seed    uint64 `json:"seed"`
+	Total   int64  `json:"total"`
+	Counts  Counts `json:"counts"`
+}
+
+// Report snapshots the injector's summary; nil for a nil injector.
+func (i *Injector) Report() *Report {
+	if i == nil {
+		return nil
+	}
+	c := i.Counts()
+	return &Report{Profile: i.prof.Name, Seed: i.prof.Seed, Total: c.Total(), Counts: c}
 }
 
 // Fault-site tags keep each injection site's derived stream independent:

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
@@ -92,8 +93,8 @@ func TestNilInjectorSafe(t *testing.T) {
 	if c := i.Counts(); c.Total() != 0 {
 		t.Fatal("nil injector counted faults")
 	}
-	if i.Profile().Name != "off" {
-		t.Fatal("nil injector profile not off")
+	if i.Report() != nil {
+		t.Fatal("nil injector produced a report")
 	}
 	i.SetMetrics(nil)
 }
@@ -205,14 +206,25 @@ func TestMaybePoisonTableDeterministic(t *testing.T) {
 	}
 }
 
-// TestCountsMap: the JSON-friendly map carries exactly the non-zero
-// tallies.
+// TestReportJSON: the report names its profile and seed, and its counts
+// carry exactly the kinds that fired, under the fault-kind keys.
+func TestReportJSON(t *testing.T) {
+	inj := New(Profile{Name: "sensors", Seed: 9})
+	inj.sensorDropped.Add(3)
+	inj.wireBombs.Add(1)
+	b, err := json.Marshal(inj.Report())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"profile":"sensors","seed":9,"total":4,"counts":{"sensor_dropped":3,"wire_bombs":1}}`
+	if string(b) != want {
+		t.Fatalf("report JSON\n got %s\nwant %s", b, want)
+	}
+}
+
+// TestCountsMap: Total sums the injected-fault tallies.
 func TestCountsMap(t *testing.T) {
 	c := Counts{SensorDropped: 3, WireBombs: 1}
-	m := c.Map()
-	if len(m) != 2 || m["sensor_dropped"] != 3 || m["wire_bombs"] != 1 {
-		t.Fatalf("map %v", m)
-	}
 	if c.Total() != 4 {
 		t.Fatalf("total %d, want 4", c.Total())
 	}

@@ -1,7 +1,6 @@
 package cloud
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -221,17 +220,14 @@ func (s *Service) handleEnergyz(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(reply)
+	writeJSON(w, http.StatusOK, reply)
 }
 
 // energyHealthChecks appends the per-game energy-regression verdicts to
 // a /v1/healthz reply: a game whose live generation's windowed net
 // energy per event exceeds its predecessor's by more than the threshold
 // is degraded — the energy-domain corroboration of the drift check.
-func (s *Service) energyHealthChecks(reply *healthzReply) {
+func (s *Service) energyHealthChecks(reply *HealthzReply) {
 	a := s.tel
 	a.mu.Lock()
 	names := make([]string, 0, len(a.games))
@@ -254,7 +250,7 @@ func (s *Service) energyHealthChecks(reply *healthzReply) {
 	a.mu.Unlock()
 	for _, g := range regs {
 		ok := g.regression <= energyRegressionThreshold && g.violations == 0
-		check := healthCheck{
+		check := HealthCheck{
 			Name: "energy_regression_" + g.name, OK: ok,
 			Value: g.regression, Threshold: energyRegressionThreshold,
 		}

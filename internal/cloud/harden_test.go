@@ -158,13 +158,7 @@ func TestGuardEndpointDrivesHealthz(t *testing.T) {
 
 	guardCheck := func(reply string) (ok bool, found bool) {
 		t.Helper()
-		var parsed struct {
-			Status string `json:"status"`
-			Checks []struct {
-				Name string `json:"name"`
-				OK   bool   `json:"ok"`
-			} `json:"checks"`
-		}
+		var parsed HealthzReply
 		if err := json.Unmarshal([]byte(reply), &parsed); err != nil {
 			t.Fatal(err)
 		}

@@ -383,8 +383,8 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
-// healthCheck is one /v1/healthz verdict line.
-type healthCheck struct {
+// HealthCheck is one /v1/healthz verdict line.
+type HealthCheck struct {
 	Name      string  `json:"name"`
 	OK        bool    `json:"ok"`
 	Value     float64 `json:"value"`
@@ -392,21 +392,21 @@ type healthCheck struct {
 	Detail    string  `json:"detail,omitempty"`
 }
 
-// healthzReply is the /v1/healthz JSON schema.
-type healthzReply struct {
+// HealthzReply is the /v1/healthz JSON schema.
+type HealthzReply struct {
 	Status        string        `json:"status"` // "ok" | "degraded"
 	UptimeSeconds float64       `json:"uptime_seconds"`
 	Games         int           `json:"games"`
 	SpansRetained int           `json:"spans_retained"`
-	Checks        []healthCheck `json:"checks"`
+	Checks        []HealthCheck `json:"checks"`
 }
 
 // Healthz evaluates the service's SLO checks: the data-path endpoints'
 // error ratio must stay under 10% (once enough requests exist to
 // judge), and rebuilds must not be failing more often than succeeding.
-func (s *Service) Healthz() healthzReply {
+func (s *Service) Healthz() HealthzReply {
 	games := s.gameCount()
-	reply := healthzReply{
+	reply := HealthzReply{
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		Games:         games,
@@ -425,7 +425,7 @@ func (s *Service) Healthz() healthzReply {
 			ratio = float64(errs) / float64(reqs)
 		}
 		ok := reqs < minJudgeable || ratio <= errorRatioMax
-		reply.Checks = append(reply.Checks, healthCheck{
+		reply.Checks = append(reply.Checks, HealthCheck{
 			Name: "error_ratio_" + ep, OK: ok, Value: ratio, Threshold: errorRatioMax,
 			Detail: fmt.Sprintf("%d/%d requests errored", errs, reqs),
 		})
@@ -440,7 +440,7 @@ func (s *Service) Healthz() healthzReply {
 		failRatio = float64(fails) / float64(rebuilds+fails)
 	}
 	rebuildOK := failRatio <= rebuildFailMax
-	reply.Checks = append(reply.Checks, healthCheck{
+	reply.Checks = append(reply.Checks, HealthCheck{
 		Name: "rebuild_failures", OK: rebuildOK, Value: failRatio, Threshold: rebuildFailMax,
 		Detail: fmt.Sprintf("%d failed of %d attempts", fails, rebuilds+fails),
 	})
@@ -464,7 +464,7 @@ func (s *Service) Healthz() healthzReply {
 	for _, game := range guardGames {
 		st := guards[game]
 		ok := !st.BreakerOpen
-		reply.Checks = append(reply.Checks, healthCheck{
+		reply.Checks = append(reply.Checks, HealthCheck{
 			Name: "guard_breaker_" + game, OK: ok, Value: st.MispredictRatio(), Threshold: 0,
 			Detail: fmt.Sprintf("%d mispredicts in %d checks, %d trips, %d rollbacks, generation %d",
 				st.Mispredicts, st.ShadowChecks, st.Trips, st.Rollbacks, st.Generation),
@@ -482,13 +482,11 @@ func (s *Service) Healthz() healthzReply {
 
 func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	reply := s.Healthz()
-	w.Header().Set("Content-Type", "application/json")
+	status := http.StatusOK
 	if reply.Status != "ok" {
-		w.WriteHeader(http.StatusServiceUnavailable)
+		status = http.StatusServiceUnavailable
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(reply)
+	writeJSON(w, status, reply)
 }
 
 // handleTracez dumps recently recorded ingest spans, oldest first.
@@ -519,14 +517,24 @@ func (s *Service) handleTracez(w http.ResponseWriter, r *http.Request) {
 	if spans == nil {
 		spans = []obs.Span{}
 	}
+	writeJSON(w, http.StatusOK, TracezReply{Total: s.spans.Total(), Retained: s.spans.Len(), Spans: spans})
+}
+
+// TracezReply is the GET /v1/tracez JSON schema.
+type TracezReply struct {
+	Total    int64      `json:"total_recorded"`
+	Retained int        `json:"retained"`
+	Spans    []obs.Span `json:"spans"`
+}
+
+// writeJSON answers with v as indented JSON — the one encoder every
+// GET /v1/*z rollup shares.
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(struct {
-		Total    int64      `json:"total_recorded"`
-		Retained int        `json:"retained"`
-		Spans    []obs.Span `json:"spans"`
-	}{Total: s.spans.Total(), Retained: s.spans.Len(), Spans: spans})
+	_ = enc.Encode(v)
 }
 
 // gameParam extracts and validates the required ?game= query parameter.

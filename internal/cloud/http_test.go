@@ -226,7 +226,7 @@ func TestHealthzEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fresh healthz status %d, want 200: %s", resp.StatusCode, body)
 	}
-	var hz healthzReply
+	var hz HealthzReply
 	if err := json.Unmarshal([]byte(body), &hz); err != nil {
 		t.Fatalf("healthz not JSON: %v", err)
 	}
@@ -304,9 +304,7 @@ func TestTracePropagation(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("tracez status %d", resp.StatusCode)
 	}
-	var reply struct {
-		Spans []obs.Span `json:"spans"`
-	}
+	var reply TracezReply
 	if err := json.Unmarshal([]byte(body), &reply); err != nil {
 		t.Fatalf("tracez not JSON: %v\n%s", err, body)
 	}

@@ -2,7 +2,6 @@ package cloud
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -498,10 +497,7 @@ func (s *Service) handleFleetz(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(reply)
+	writeJSON(w, http.StatusOK, reply)
 }
 
 // gameFilterParam reads the optional ?game= filter. Unlike gameParam

@@ -276,10 +276,11 @@ type Result struct {
 	// Lookup merges every device's probe tallies.
 	Lookup memo.LookupStats `json:"lookup"`
 
-	// Wall is the run's wall-clock time; LookupsPerSec the fleet-wide
-	// serving rate over it.
-	Wall          time.Duration `json:"wall_ns"`
-	LookupsPerSec float64       `json:"lookups_per_sec"`
+	// Wall is the run's wall-clock time; EventsPerSec the whole
+	// pipeline's throughput over it (Events / Wall: dispatch, lookup,
+	// handlers, uploads and refreshes, not the probe alone).
+	Wall         time.Duration `json:"wall_ns"`
+	EventsPerSec float64       `json:"events_per_sec"`
 	// P50/P99LookupNS are power-of-two-bucket estimates of per-probe
 	// latency (table probe only, not handler execution).
 	P50LookupNS int64 `json:"p50_lookup_ns"`
@@ -341,11 +342,11 @@ type Result struct {
 	PerDevice []DeviceResult `json:"per_device,omitempty"`
 
 	// Guard reports the mispredict guard (nil when disabled); Chaos the
-	// injected-fault tallies (nil when no injector was configured);
-	// Telemetry the telemetry pipeline's shipping outcome (nil when
-	// disabled).
+	// injector's profile, seed and fault tallies (nil when no injector
+	// was configured); Telemetry the telemetry pipeline's shipping
+	// outcome (nil when disabled).
 	Guard     *GuardReport     `json:"guard,omitempty"`
-	Chaos     *chaos.Counts    `json:"chaos,omitempty"`
+	Chaos     *chaos.Report    `json:"chaos,omitempty"`
 	Telemetry *TelemetryReport `json:"telemetry,omitempty"`
 	// Energy is the fleet-wide energy attribution rollup (nil when the
 	// ledger is disabled).
@@ -857,10 +858,7 @@ func Run(cfg Config) (*Result, error) {
 		OTAFullBytes:     co.ota.fullBytes,
 		OTABytes:         co.ota.deltaBytes + co.ota.fullBytes,
 		OTAMaxChain:      co.ota.maxChain,
-	}
-	if cfg.Chaos != nil {
-		c := cfg.Chaos.Counts()
-		res.Chaos = &c
+		Chaos:            cfg.Chaos.Report(),
 	}
 	if cfg.Telemetry != nil {
 		res.Telemetry = &TelemetryReport{}
@@ -915,7 +913,7 @@ func Run(cfg Config) (*Result, error) {
 			units.Energy(res.Energy.TotalUJ), units.Time(res.Energy.ElapsedUS))
 	}
 	if secs := wall.Seconds(); secs > 0 {
-		res.LookupsPerSec = float64(res.Lookup.Lookups) / secs
+		res.EventsPerSec = float64(res.Events) / secs
 	}
 	res.P50LookupNS = merged.quantile(0.50)
 	res.P99LookupNS = merged.quantile(0.99)

@@ -107,8 +107,8 @@ func TestFleetEndToEnd(t *testing.T) {
 	if res.P50LookupNS <= 0 || res.P99LookupNS < res.P50LookupNS {
 		t.Fatalf("latency estimates p50=%d p99=%d", res.P50LookupNS, res.P99LookupNS)
 	}
-	if res.LookupsPerSec <= 0 {
-		t.Fatal("no serving rate measured")
+	if want := float64(res.Events) / res.Wall.Seconds(); res.EventsPerSec <= 0 || res.EventsPerSec != want {
+		t.Fatalf("events/sec %v, want events/wall = %v", res.EventsPerSec, want)
 	}
 
 	// The cloud saw every session, individually counted, via the batch

@@ -188,7 +188,7 @@ func TestChaosCrashIsolation(t *testing.T) {
 	if res.Sessions != 0 {
 		t.Fatalf("sessions %d with crash rate 1.0, want 0", res.Sessions)
 	}
-	if res.Chaos == nil || res.Chaos.DeviceCrashes != 3 {
+	if res.Chaos == nil || res.Chaos.Counts.DeviceCrashes != 3 {
 		t.Fatalf("chaos counts missing or wrong: %+v", res.Chaos)
 	}
 	if got := reg.Snapshot().Counters["snip_fleet_device_failures_total"]; got != 3 {

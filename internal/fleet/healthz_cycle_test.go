@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"testing"
 
+	"snip/internal/cloud"
 	"snip/internal/memo"
 	"snip/internal/obs"
 )
@@ -24,13 +25,7 @@ func TestHealthzDegradationCycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var reply struct {
-			Status string `json:"status"`
-			Checks []struct {
-				Name string `json:"name"`
-				OK   bool   `json:"ok"`
-			} `json:"checks"`
-		}
+		var reply cloud.HealthzReply
 		if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
 			t.Fatal(err)
 		}

@@ -202,10 +202,10 @@ type SnipTable struct {
 // carry unsynchronized tallies), so each session, device or test owns
 // one of these and feeds it the per-call return values of Lookup.
 type LookupStats struct {
-	Lookups       int64
-	Hits          int64
-	Probes        int64 // candidate entries compared
-	ComparedBytes int64 // Σ probes × state width (Fig. 11c)
+	Lookups       int64 `json:"lookups"`
+	Hits          int64 `json:"hits"`
+	Probes        int64 `json:"probes"`         // candidate entries compared
+	ComparedBytes int64 `json:"compared_bytes"` // Σ probes × state width (Fig. 11c)
 }
 
 // Observe folds one Lookup outcome into the stats. Nil-safe, so callers
