@@ -19,24 +19,9 @@ type CloudService struct {
 	svc *cloud.Service
 }
 
-// NewCloudService builds a single-shard profiler service with the given
-// PFI options.
-func NewCloudService(o PFIOptions) *CloudService {
-	return &CloudService{svc: cloud.NewService(o.config())}
-}
-
-// NewCloudServiceSharded builds a profiler service whose games are
-// partitioned across N in-process shard replicas behind a deterministic
-// rendezvous router: each shard owns its games' profiles and drains its
-// own bounded ingest queue. Figures are byte-identical at every shard
-// count; sharding only moves work. Call Close when done.
-func NewCloudServiceSharded(o PFIOptions, shards int) *CloudService {
-	return &CloudService{svc: cloud.NewShardedService(o.config(), shards)}
-}
-
-// CloudServiceOptions configures the service's overload-survival knobs
-// on top of the shard count. The zero value matches
-// NewCloudServiceSharded's defaults.
+// CloudServiceOptions configures the service: the shard count and its
+// overload-survival knobs. The zero value is a single shard with the
+// default queue bound and no quota.
 type CloudServiceOptions struct {
 	// Shards is the profiler replica count (default 1).
 	Shards int
@@ -50,10 +35,13 @@ type CloudServiceOptions struct {
 	QuotaBurst float64
 }
 
-// NewCloudServiceWithOptions builds the sharded profiler service with
-// explicit admission-control knobs: shard queue capacity and per-game
-// ingest quotas. Every ingest endpoint then runs behind the admission
-// controller, whose live view is served at GET /v1/overloadz. Call
+// NewCloudServiceWithOptions builds the profiler service. Its games are
+// partitioned across co.Shards in-process shard replicas behind a
+// deterministic rendezvous router: each shard owns its games' profiles
+// and drains its own bounded ingest queue. Figures are byte-identical
+// at every shard count; sharding only moves work. Every ingest endpoint
+// runs behind the admission controller (shard queue capacity, per-game
+// ingest quotas), whose live view is served at GET /v1/overloadz. Call
 // Close when done.
 func NewCloudServiceWithOptions(o PFIOptions, co CloudServiceOptions) *CloudService {
 	return &CloudService{svc: cloud.NewServiceWithOptions(o.config(), cloud.ServiceOptions{

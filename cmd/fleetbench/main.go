@@ -14,16 +14,16 @@
 // Devices run on a shared scheduler (a fixed worker pool claiming
 // device indexes, -fleet-workers to size it), so -devices 100000 runs
 // on one box; past snip.FleetDetailMax devices reports carry aggregates
-// only. -overload opts the fleet into the 429 backpressure contract
-// against a quota-/queue-constrained cloud (-shard-queue-cap,
-// -quota-rate, -quota-burst) and -validate then proves the conservation
-// identity offered = accepted + shed + dropped on both the device and
-// cloud ledgers, with guard-class traffic never shed.
+// only. Devices always run the 429 backpressure contract; against a
+// quota-/queue-constrained cloud (-shard-queue-cap, -quota-rate,
+// -quota-burst) -validate then proves the conservation identity
+// offered = accepted + shed + dropped on both the device and cloud
+// ledgers, with guard-class traffic never shed.
 //
 // Usage:
 //
 //	fleetbench -game Colorphun -devices 1,2,4,8 -out BENCH_fleet.json
-//	fleetbench -devices 100000 -overload -ota=false -quota-rate 50 -out BENCH_overload.json
+//	fleetbench -devices 100000 -ota=false -quota-rate 50 -out BENCH_overload.json
 //	fleetbench -lookup-sweep default -out BENCH_lookup.json
 //	fleetbench -validate BENCH_fleet.json
 package main
@@ -89,14 +89,10 @@ type benchFile struct {
 	// Workload names the behaviour-model preset the sweep ran under
 	// ("" = default human play, "eventcam" = high-rate sensor overlay).
 	Workload string `json:"workload,omitempty"`
-	// Overload records whether the sweep ran the overload contract
-	// (cloud admission control + 429-aware client backpressure); when
-	// set, validation enforces the batch conservation identity on both
-	// the device and cloud ledgers and that guard-class traffic was
-	// never shed.
-	Overload bool `json:"overload,omitempty"`
 	// ShardQueueCap is the per-shard ingest queue bound the cloud ran
-	// with (0 = service default).
+	// with (0 = service default). It and a quota are what license a run
+	// to shed: without either, validation rejects any shed batch or
+	// client 429.
 	ShardQueueCap int `json:"shard_queue_cap,omitempty"`
 	// QuotaRate/QuotaBurst are the per-game bulk-ingest token-bucket
 	// quota the cloud enforced (0 = no quota).
@@ -136,7 +132,6 @@ func main() {
 	telemetry := flag.Bool("telemetry", true, "fold per-generation device telemetry and ship it to the cloud's /v1/telemetry")
 	energy := flag.Bool("energy", true, "run the device-side energy attribution ledger (modeled µJ per table generation)")
 	workloadPreset := flag.String("workload", "", `behaviour-model preset: "" or "default" (human play), "eventcam" (high-rate sensor overlay, 10-100x event rate)`)
-	overload := flag.Bool("overload", false, "run the overload contract: 429-aware client backpressure with retry budgets; pair with -shard-queue-cap/-quota-rate to make the cloud shed")
 	queueCap := flag.Int("shard-queue-cap", 0, "per-shard ingest queue bound on the cloud (0 = service default, 64)")
 	quotaRate := flag.Float64("quota-rate", 0, "per-game bulk-ingest quota: sustained requests/second (0 = no quota)")
 	quotaBurst := flag.Float64("quota-burst", 0, "per-game quota burst capacity (0 = same as -quota-rate)")
@@ -217,8 +212,7 @@ func main() {
 		GoMaxProcs: runtime.GOMAXPROCS(0), Backend: "flat",
 		Shards: *shards, DeltaCap: *deltaCap, Refreshes: *refreshes,
 		Chaos: *chaosProf, ChaosSeed: *chaosSeed, ShadowRate: *shadowRate,
-		Telemetry: *telemetry, Energy: *energy,
-		Workload: *workloadPreset, Overload: *overload,
+		Telemetry: *telemetry, Energy: *energy, Workload: *workloadPreset,
 		ShardQueueCap: *queueCap, QuotaRate: *quotaRate, QuotaBurst: *quotaBurst,
 		Grades: *grades,
 	}
@@ -227,8 +221,7 @@ func main() {
 		ota: *ota, refreshAfter: *refreshAfter, refreshes: *refreshes,
 		shards: *shards, deltaCap: *deltaCap,
 		chaosProf: *chaosProf, chaosSeed: *chaosSeed, shadowRate: *shadowRate,
-		telemetry: *telemetry, energy: *energy,
-		workload: *workloadPreset, overload: *overload,
+		telemetry: *telemetry, energy: *energy, workload: *workloadPreset,
 		queueCap: *queueCap, quotaRate: *quotaRate, quotaBurst: *quotaBurst,
 		grades: gradeCycle, fleetWorkers: *fleetWorkers,
 	}
@@ -261,21 +254,18 @@ func main() {
 			}
 			fmt.Fprintln(os.Stderr, line)
 		}
-		if *overload {
+		fmt.Fprintf(os.Stderr,
+			"          overload: offered=%d accepted=%d shed=%d dropped=%d  429s=%d  backoff=%.2fs\n",
+			rep.OfferedBatches, rep.Batches, rep.BatchesShed, rep.BatchesDropped,
+			rep.Shed429, float64(rep.BackoffNS)/1e9)
+		oz := rep.Overloadz
+		fmt.Fprintf(os.Stderr,
+			"          overloadz: occupancy=%.2f shed_ratio=%.3f signal=%.3f (%s)  quota_shed=%d\n",
+			oz.Occupancy, oz.ShedRatio, oz.Signal, oz.Verdict, oz.QuotaShed)
+		for _, c := range oz.Classes {
 			fmt.Fprintf(os.Stderr,
-				"          overload: offered=%d accepted=%d shed=%d dropped=%d  429s=%d  backoff=%.2fs\n",
-				rep.OfferedBatches, rep.Batches, rep.BatchesShed, rep.BatchesDropped,
-				rep.Shed429, float64(rep.BackoffNS)/1e9)
-			if oz := rep.Overloadz; oz != nil {
-				fmt.Fprintf(os.Stderr,
-					"          overloadz: occupancy=%.2f shed_ratio=%.3f signal=%.3f (%s)  quota_shed=%d\n",
-					oz.Occupancy, oz.ShedRatio, oz.Signal, oz.Verdict, oz.QuotaShed)
-				for _, c := range oz.Classes {
-					fmt.Fprintf(os.Stderr,
-						"            class %-9s offered=%-6d accepted=%-6d shed=%-6d dropped=%d\n",
-						c.Class, c.Offered, c.Accepted, c.Shed, c.Dropped)
-				}
-			}
+				"            class %-9s offered=%-6d accepted=%-6d shed=%-6d dropped=%d\n",
+				c.Class, c.Offered, c.Accepted, c.Shed, c.Dropped)
 		}
 		if rep.OTAUpdates > 0 {
 			fmt.Fprintf(os.Stderr,
@@ -353,7 +343,6 @@ type runSettings struct {
 	shadowRate                                float64
 	telemetry, energy                         bool
 	workload                                  string
-	overload                                  bool
 	queueCap                                  int
 	quotaRate, quotaBurst                     float64
 	grades                                    []float64
@@ -365,8 +354,8 @@ type runSettings struct {
 // also reads the cloud's /v1/fleetz rollup before the service goes away,
 // so the drift and ingest-pressure verdicts the run produced are visible
 // in the sweep output. Every run also captures /v1/overloadz — the
-// admission controller's conservation ledger — and, in overload runs,
-// probes /v1/healthz to prove guard-class traffic is never shed.
+// admission controller's conservation ledger — and probes /v1/healthz
+// to prove guard-class traffic is never shed.
 func runOnce(set runSettings, devices int, met *snip.Metrics) (*fleetRun, *cloud.FleetzReply, *cloud.EnergyzReply, error) {
 	svc := snip.NewCloudServiceWithOptions(snip.DefaultPFIOptions(), snip.CloudServiceOptions{
 		Shards:          set.shards,
@@ -400,9 +389,6 @@ func runOnce(set runSettings, devices int, met *snip.Metrics) (*fleetRun, *cloud
 		Workers:     set.fleetWorkers,
 		SpeedGrades: set.grades,
 	}
-	if set.overload {
-		opts.Overload = &snip.OverloadOptions{}
-	}
 	if set.ota {
 		// One live rebuild+swap once half the fleet's sessions are in —
 		// or earlier/later when -refresh-after overrides the midpoint
@@ -432,13 +418,11 @@ func runOnce(set runSettings, devices int, met *snip.Metrics) (*fleetRun, *cloud
 		return nil, nil, nil, err
 	}
 	run := &fleetRun{FleetReport: rep}
-	if set.overload {
-		// Guard-class traffic must be admitted even while bulk is being
-		// shed: probe the health endpoint right after the run, while the
-		// admission controller still remembers its worst occupancy.
-		if err := probeHealthz(cloudURL, 3); err != nil {
-			return nil, nil, nil, err
-		}
+	// Guard-class traffic must be admitted even while bulk is being
+	// shed: probe the health endpoint right after the run, while the
+	// admission controller still remembers its worst occupancy.
+	if err := probeHealthz(cloudURL, 3); err != nil {
+		return nil, nil, nil, err
 	}
 	run.Overloadz = new(cloud.OverloadzReply)
 	if err := getJSON(cloudURL+"/v1/overloadz", run.Overloadz); err != nil {
@@ -607,9 +591,10 @@ func validateFile(path string) error {
 		if err := validateOTA(i, r, &f, chaotic); err != nil {
 			return err
 		}
-		// Overload sweeps may legitimately drop telemetry: a shed upload
-		// (429 to the end) counts its records dropped, never silently.
-		if err := validateTelemetry(i, r, f.Telemetry, chaotic || f.Overload); err != nil {
+		// Sweeps against a shedding cloud may legitimately drop
+		// telemetry: a shed upload (429 to the end) counts its records
+		// dropped, never silently.
+		if err := validateTelemetry(i, r, f.Telemetry, chaotic || f.sheds()); err != nil {
 			return err
 		}
 		if err := validateEnergy(i, r, f.Energy); err != nil {
@@ -622,14 +607,18 @@ func validateFile(path string) error {
 			return err
 		}
 	}
-	// A quota-gated overload sweep must actually have shed: the quota is
-	// sized to refuse part of the offered load, and the client ledger
-	// counts every 429 it absorbed.
-	if f.Overload && f.QuotaRate > 0 && totalShed429 == 0 {
-		return fmt.Errorf("overload sweep with quota rate %.1f/s absorbed zero 429s", f.QuotaRate)
+	// A quota-gated sweep must actually have shed: the quota is sized to
+	// refuse part of the offered load, and the client ledger counts
+	// every 429 it absorbed.
+	if f.QuotaRate > 0 && totalShed429 == 0 {
+		return fmt.Errorf("sweep with quota rate %.1f/s absorbed zero 429s", f.QuotaRate)
 	}
 	return nil
 }
+
+// sheds reports whether the sweep's cloud was configured to shed load:
+// a per-game quota or an explicit shard queue cap.
+func (f *benchFile) sheds() bool { return f.QuotaRate > 0 || f.ShardQueueCap > 0 }
 
 // validateOverload checks the batch conservation identity on both
 // ledgers. Device side: every offered batch ends accepted, shed, or
@@ -641,11 +630,11 @@ func validateOverload(i int, r *fleetRun, f *benchFile, chaotic bool) error {
 	case r.OfferedBatches != r.Batches+r.BatchesShed+r.BatchesDropped:
 		return fmt.Errorf("run %d: offered %d != accepted %d + shed %d + dropped %d",
 			i, r.OfferedBatches, r.Batches, r.BatchesShed, r.BatchesDropped)
-	case !f.Overload && r.BatchesShed != 0:
-		return fmt.Errorf("run %d: %d batches shed without the overload contract", i, r.BatchesShed)
-	case !f.Overload && r.Shed429 != 0:
-		return fmt.Errorf("run %d: %d client 429s recorded without the overload contract", i, r.Shed429)
-	case !chaotic && !f.Overload && r.BatchesDropped != 0:
+	case !f.sheds() && r.BatchesShed != 0:
+		return fmt.Errorf("run %d: %d batches shed without a quota or queue cap", i, r.BatchesShed)
+	case !f.sheds() && r.Shed429 != 0:
+		return fmt.Errorf("run %d: %d client 429s recorded without a quota or queue cap", i, r.Shed429)
+	case !chaotic && r.BatchesDropped != 0:
 		return fmt.Errorf("run %d: %d batches dropped on a clean run", i, r.BatchesDropped)
 	case r.BackoffNS < 0:
 		return fmt.Errorf("run %d: negative backoff time", i)
@@ -654,10 +643,7 @@ func validateOverload(i int, r *fleetRun, f *benchFile, chaotic bool) error {
 	}
 	oz := r.Overloadz
 	if oz == nil {
-		if f.Overload {
-			return fmt.Errorf("run %d: overload sweep without an overloadz snapshot", i)
-		}
-		return nil
+		return fmt.Errorf("run %d: no overloadz snapshot", i)
 	}
 	if oz.QueueCap < 1 || oz.Shards < 1 {
 		return fmt.Errorf("run %d: overloadz reports queue cap %d / %d shards", i, oz.QueueCap, oz.Shards)

@@ -24,8 +24,9 @@ func TestCommittedBenchFiles(t *testing.T) {
 
 // TestSweepValidates runs a tiny fleet sweep point end to end (two OTA
 // rounds, telemetry and the energy ledger on), writes it as a bench file
-// and checks the gate accepts it — and rejects the same file with its
-// batch conservation ledger broken by one.
+// and checks the gate accepts it — and rejects copies with its batch
+// conservation ledger broken by one, with a batch shed against a cloud
+// configured not to shed, or with a batch dropped on a clean run.
 func TestSweepValidates(t *testing.T) {
 	const game, secs = "Colorphun", 2
 	dur := secs * time.Second
@@ -72,18 +73,35 @@ func TestSweepValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc map[string]any
-	if err := json.Unmarshal(b, &doc); err != nil {
-		t.Fatal(err)
+	// reject writes a copy of the good file with run 0 edited and checks
+	// the gate refuses it with an error mentioning want.
+	reject := func(name string, edit func(r0 map[string]any), want string) {
+		t.Helper()
+		var doc map[string]any
+		if err := json.Unmarshal(b, &doc); err != nil {
+			t.Fatal(err)
+		}
+		edit(doc["runs"].([]any)[0].(map[string]any))
+		bad := filepath.Join(dir, name+".json")
+		if err := writeBench(bad, doc); err != nil {
+			t.Fatal(err)
+		}
+		if err := validateFile(bad); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: got %v, want an error mentioning %q", name, err, want)
+		}
 	}
-	r0 := doc["runs"].([]any)[0].(map[string]any)
-	r0["offered_batches"] = r0["offered_batches"].(float64) + 1
-	bad := filepath.Join(dir, "bad.json")
-	if err := writeBench(bad, doc); err != nil {
-		t.Fatal(err)
+	bump := func(r0 map[string]any, keys ...string) {
+		for _, k := range keys {
+			r0[k] = r0[k].(float64) + 1
+		}
 	}
-	err = validateFile(bad)
-	if err == nil || !strings.Contains(err.Error(), "offered") {
-		t.Fatalf("broken batch ledger: got %v, want an offered != accepted + shed + dropped error", err)
-	}
+	reject("broken-ledger", func(r0 map[string]any) { bump(r0, "offered_batches") },
+		"offered")
+	// The ledger still balances in the next two; what breaks is the
+	// outcome itself. A cloud with no quota and no queue cap never sheds,
+	// and a clean run never drops a batch.
+	reject("shed-without-quota", func(r0 map[string]any) { bump(r0, "offered_batches", "batches_shed") },
+		"shed without a quota")
+	reject("dropped-on-clean-run", func(r0 map[string]any) { bump(r0, "offered_batches", "batches_dropped") },
+		"dropped on a clean run")
 }

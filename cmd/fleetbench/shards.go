@@ -128,7 +128,7 @@ func runShardSweep(spec string, gamesN, sessionsPerGame, secs, deltaCap int, out
 // fingerprints the resulting tables.
 func shardPointOnce(shards int, games []string, corpus map[string][]trace.SessionEvents, deltaCap int) (shardPoint, error) {
 	pt := shardPoint{Shards: shards}
-	svc := cloud.NewShardedService(pfi.DefaultConfig(), shards)
+	svc := cloud.NewServiceWithOptions(pfi.DefaultConfig(), cloud.ServiceOptions{Shards: shards})
 	defer svc.Close()
 	if deltaCap > 0 {
 		svc.SetDeltaCap(deltaCap)

@@ -16,7 +16,7 @@ import (
 
 func main() {
 	// Start the cloud profiler on an ephemeral localhost port.
-	svc := snip.NewCloudService(snip.DefaultPFIOptions())
+	svc := snip.NewCloudServiceWithOptions(snip.DefaultPFIOptions(), snip.CloudServiceOptions{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

@@ -77,7 +77,11 @@ type FleetOptions struct {
 	// Table is the shared table to serve from. Required.
 	Table *SharedTable
 	// CloudURL, when non-empty, points at a CloudService; devices then
-	// upload finished sessions in batches of BatchSize.
+	// upload finished sessions in batches of BatchSize. A 429 is retried
+	// after its Retry-After within each device's retry budget; a batch
+	// the cloud refuses for good is counted shed or dropped (so
+	// OfferedBatches = Batches + BatchesShed + BatchesDropped) and the
+	// device keeps playing.
 	CloudURL string
 	// BatchSize is sessions per batched upload (default 1).
 	BatchSize int
@@ -133,23 +137,6 @@ type FleetOptions struct {
 	// (0.5 = half-speed part, twice the µJ per instruction). Nil is a
 	// homogeneous fleet, byte-identical to builds without the knob.
 	SpeedGrades []float64
-	// Overload, when non-nil, opts the fleet into the client-side
-	// overload contract: 429s become retryable with Retry-After honored,
-	// each device carries a retry budget, and a terminally refused batch
-	// is counted shed (or dropped) instead of failing the device. The
-	// conservation identity OfferedBatches = Batches + BatchesShed +
-	// BatchesDropped then holds on every report.
-	Overload *OverloadOptions
-}
-
-// OverloadOptions tunes the client-side overload contract. Zero values
-// take the defaults (budget 8 tokens, 0.5 credited back per accepted
-// upload).
-type OverloadOptions struct {
-	// RetryBudget is each device's 429-retry token budget.
-	RetryBudget float64
-	// RefillPerSuccess is the budget credited back per accepted upload.
-	RefillPerSuccess float64
 }
 
 // ChaosOptions selects a fault-injection profile for a fleet run.
@@ -206,12 +193,6 @@ func RunFleet(o FleetOptions) (*FleetReport, error) {
 		Spans:                o.Metrics.SpanBuffer(),
 		Workers:              o.Workers,
 		SpeedGrades:          o.SpeedGrades,
-	}
-	if o.Overload != nil {
-		cfg.Overload = &fleet.OverloadConfig{
-			RetryBudget:      o.Overload.RetryBudget,
-			RefillPerSuccess: o.Overload.RefillPerSuccess,
-		}
 	}
 	if o.Table != nil {
 		cfg.Table = o.Table.s

@@ -31,15 +31,14 @@ func shedServer(t *testing.T, sheds int32, retryAfterSecs int) (*httptest.Server
 }
 
 // TestOverloadRetryAfterHonoredWithJitter pins the client half of the
-// 429 contract: with Retry429 set, each shed waits out the server's
-// Retry-After plus an upward jitter of at most half the horizon, and
-// the jitter source is the injectable per-call one (how the fleet
-// makes backoff deterministic).
+// 429 contract: each shed waits out the server's Retry-After plus an
+// upward jitter of at most half the horizon, and the jitter source is
+// the injectable per-call one (how the fleet makes backoff
+// deterministic).
 func TestOverloadRetryAfterHonoredWithJitter(t *testing.T) {
 	const ra = 2 // seconds
 	srv, attempts := shedServer(t, 2, ra)
 	c := NewClient(srv.URL)
-	c.Retry.Retry429 = true
 	c.Retry.MaxAttempts = 5
 
 	var sleeps []time.Duration
@@ -52,7 +51,7 @@ func TestOverloadRetryAfterHonoredWithJitter(t *testing.T) {
 			return jitterVal
 		},
 	}
-	resp, retries, shed, err := c.doCtl(http.MethodGet, srv.URL, "", nil, obs.SpanContext{}, ctl)
+	resp, retries, shed, err := c.do(http.MethodGet, srv.URL, "", nil, obs.SpanContext{}, ctl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,14 +83,13 @@ func TestOverloadRetryAfterHonoredWithJitter(t *testing.T) {
 func TestOverloadBudgetExhaustionDrops(t *testing.T) {
 	srv, attempts := shedServer(t, 1<<30, 1) // sheds forever
 	c := NewClient(srv.URL)
-	c.Retry.Retry429 = true
 	c.Retry.MaxAttempts = 10
 
 	ctl := &CallControl{
 		Budget: NewRetryBudget(2, 0),
 		Sleep:  func(time.Duration) {},
 	}
-	_, retries, shed, err := c.doCtl(http.MethodGet, srv.URL, "", nil, obs.SpanContext{}, ctl)
+	_, retries, shed, err := c.do(http.MethodGet, srv.URL, "", nil, obs.SpanContext{}, ctl)
 	if err == nil {
 		t.Fatal("exhausted budget did not fail the call")
 	}

@@ -22,10 +22,17 @@ import (
 // network failure with errors.Is.
 var ErrShed = errors.New("shed by cloud admission control")
 
+// A device's retry budget: RetryBudgetTokens retries to start with,
+// RetryBudgetRefill of a token credited back per accepted upload.
+const (
+	RetryBudgetTokens = 8
+	RetryBudgetRefill = 0.5
+)
+
 // RetryBudget bounds a device's 429-driven retries SRE-style: a retry
-// consumes one token, a successful upload refills RefillPerSuccess
-// back (capped at the initial budget). A device that keeps succeeding
-// earns the right to ride out occasional sheds; one that is being
+// consumes one token, a successful upload credits part of a token back
+// (capped at the initial budget). A device that keeps succeeding earns
+// the right to ride out occasional sheds; one that is being
 // persistently shed runs dry and starts dropping instead of hammering.
 // Not safe for concurrent use — each device owns its budget and the
 // fleet scheduler runs one device on one worker at a time.
@@ -36,15 +43,8 @@ type RetryBudget struct {
 }
 
 // NewRetryBudget returns a budget holding max tokens, crediting
-// refillPerSuccess per successful upload. max <= 0 defaults to 8,
-// refillPerSuccess < 0 defaults to 0.5.
+// refillPerSuccess per successful upload.
 func NewRetryBudget(max, refillPerSuccess float64) *RetryBudget {
-	if max <= 0 {
-		max = 8
-	}
-	if refillPerSuccess < 0 {
-		refillPerSuccess = 0.5
-	}
 	return &RetryBudget{tokens: max, max: max, refill: refillPerSuccess}
 }
 

@@ -149,7 +149,7 @@ func fastRetry(attempts int) RetryPolicy {
 // TestClientRetriesTransient5xx: the client must ride out a transient
 // outage within its retry budget and count every retry attempt.
 func TestClientRetriesTransient5xx(t *testing.T) {
-	svc := NewService(pfi.DefaultConfig())
+	svc := NewServiceWithOptions(pfi.DefaultConfig(), ServiceOptions{})
 	flaky := &flakyHandler{next: svc.Handler()}
 	flaky.remaining.Store(2)
 	srv := httptest.NewServer(flaky)

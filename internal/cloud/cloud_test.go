@@ -221,7 +221,7 @@ func TestUpdateEncodeDecode(t *testing.T) {
 }
 
 func TestHTTPServiceEndToEnd(t *testing.T) {
-	svc := NewService(pfi.DefaultConfig())
+	svc := NewServiceWithOptions(pfi.DefaultConfig(), ServiceOptions{})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 	client := NewClient(srv.URL)
@@ -256,7 +256,7 @@ func TestHTTPServiceEndToEnd(t *testing.T) {
 }
 
 func TestHTTPValidation(t *testing.T) {
-	svc := NewService(pfi.DefaultConfig())
+	svc := NewServiceWithOptions(pfi.DefaultConfig(), ServiceOptions{})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 	client := NewClient(srv.URL)

@@ -74,7 +74,7 @@ func (c *Client) ReportGuard(game string, st GuardStatus) error {
 		return err
 	}
 	u := c.endpoint("/v1/guard", url.Values{"game": {game}})
-	resp, _, err := c.do(http.MethodPost, u, "application/json", body, obs.SpanContext{})
+	resp, _, _, err := c.do(http.MethodPost, u, "application/json", body, obs.SpanContext{}, nil)
 	if err != nil {
 		return err
 	}

@@ -158,23 +158,6 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 	return m
 }
 
-// NewService builds an empty single-shard service; profilers are
-// created per game on first upload. Every service owns a metrics
-// registry (see Metrics) exposed at GET /v1/metrics.
-func NewService(cfg pfi.Config) *Service {
-	return NewShardedService(cfg, 1)
-}
-
-// NewShardedService builds a service whose games are partitioned across
-// shards in-process profiler replicas behind the rendezvous router (see
-// ShardFor). Each shard owns its games' profilers and drains its own
-// bounded ingest queue on a dedicated worker; the replay worker budget
-// (GOMAXPROCS) is divided across shards. Shard count is fixed for the
-// service's lifetime. Call Close when done to stop the shard workers.
-func NewShardedService(cfg pfi.Config, shards int) *Service {
-	return NewServiceWithOptions(cfg, ServiceOptions{Shards: shards})
-}
-
 // ServiceOptions configures the serving stack beyond the PFI config:
 // the shard fan-out, each shard's ingest queue bound, and the per-game
 // bulk admission quota. Zero values take the defaults (1 shard,
@@ -190,8 +173,15 @@ type ServiceOptions struct {
 	Quota QuotaConfig
 }
 
-// NewServiceWithOptions builds the sharded service with explicit
-// overload-survival knobs. Call Close when done to stop the workers.
+// NewServiceWithOptions builds an empty service whose games are
+// partitioned across opt.Shards in-process profiler replicas behind the
+// rendezvous router (see ShardFor); profilers are created per game on
+// first upload. Each shard owns its games' profilers and drains its own
+// bounded ingest queue on a dedicated worker; the replay worker budget
+// (GOMAXPROCS) is divided across shards. Shard count is fixed for the
+// service's lifetime. Every service owns a metrics registry (see
+// Metrics) exposed at GET /v1/metrics. Call Close when done to stop the
+// shard workers.
 func NewServiceWithOptions(cfg pfi.Config, opt ServiceOptions) *Service {
 	shards := opt.Shards
 	if shards < 1 {
@@ -701,8 +691,10 @@ const DefaultClientTimeout = 30 * time.Second
 // jitter: attempt n sleeps uniform(0, min(MaxDelay, BaseDelay·2ⁿ⁻¹)].
 // 4xx responses never retry — they are the caller's bug, and retrying
 // them would just triple the error latency — with one exception: 429
-// is the cloud shedding load, not a caller bug, and Retry429 opts into
-// treating it as retryable under the server's Retry-After guidance.
+// is the cloud shedding load, not a caller bug, so the client waits out
+// the server's Retry-After (plus jitter, so a shed fleet
+// desynchronizes) and tries again, bounded by the attempts and by the
+// call's RetryBudget when one rides its CallControl.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries including the first.
 	// <= 1 disables retries.
@@ -718,13 +710,6 @@ type RetryPolicy struct {
 	// interact: the worst-case call latency is
 	// MaxAttempts·Timeout + backoff sleeps.
 	Timeout time.Duration
-	// Retry429 makes HTTP 429 a first-class retryable outcome: the
-	// client waits out the response's Retry-After (plus jitter, so a
-	// shed fleet desynchronizes) before trying again, and a per-call
-	// RetryBudget (see CallControl) bounds how long a device keeps
-	// trying. False — the default — keeps the legacy contract: a 429 is
-	// returned to the caller like any other 4xx.
-	Retry429 bool
 }
 
 // DefaultRetryPolicy is what NewClient installs: up to 3 tries with
@@ -837,23 +822,18 @@ func (b *cancelBody) Close() error {
 }
 
 // do issues one request with bounded retry on transient failures and
-// returns the response plus how many retries the call needed. body may
-// be nil; it is re-read from the byte slice on every attempt, which is
-// why the request body is materialized rather than streamed. A valid sc
-// is propagated in the X-Snip-Trace header, linking the server-side
-// ingest span into the caller's trace, and stamps the retry log lines.
-func (c *Client) do(method, u, contentType string, body []byte, sc obs.SpanContext) (*http.Response, int, error) {
-	resp, retries, _, err := c.doCtl(method, u, contentType, body, sc, nil)
-	return resp, retries, err
-}
-
-// doCtl is do with per-call backpressure control and shed accounting:
-// it additionally reports how many attempts were answered 429. With
-// Retry429 set on the policy, a 429 waits out the server's Retry-After
-// plus jitter (a missing header falls back to the policy backoff)
-// before retrying, gated by ctl's RetryBudget; exhausting the budget or
-// the attempts on sheds fails the call with an ErrShed-wrapped error.
-func (c *Client) doCtl(method, u, contentType string, body []byte, sc obs.SpanContext, ctl *CallControl) (*http.Response, int, int, error) {
+// sheds, and returns the response plus how many retries the call needed
+// and how many attempts were answered 429. body may be nil; it is
+// re-read from the byte slice on every attempt, which is why the
+// request body is materialized rather than streamed. A valid sc is
+// propagated in the X-Snip-Trace header, linking the server-side ingest
+// span into the caller's trace, and stamps the retry log lines. ctl
+// (nil is fine) carries the caller's retry budget, sleep and jitter. A
+// 429 waits out the server's Retry-After plus jitter (a missing header
+// falls back to the policy backoff) before retrying, gated by ctl's
+// RetryBudget; exhausting the budget or the attempts on sheds fails the
+// call with an ErrShed-wrapped error.
+func (c *Client) do(method, u, contentType string, body []byte, sc obs.SpanContext, ctl *CallControl) (*http.Response, int, int, error) {
 	pol := c.Retry
 	if pol.MaxAttempts <= 0 {
 		pol.MaxAttempts = 1
@@ -907,12 +887,6 @@ func (c *Client) doCtl(method, u, contentType string, body []byte, sc obs.SpanCo
 		if resp.StatusCode == http.StatusTooManyRequests {
 			shed++
 			c.shed.Inc()
-			if !pol.Retry429 {
-				// Legacy contract: the 429 is the caller's to handle,
-				// counted but not retried.
-				resp.Body = &cancelBody{ReadCloser: resp.Body, cancel: cancel}
-				return resp, retries, shed, nil
-			}
 			ra, hasRA := retryAfterDelay(resp)
 			lastErr = errFromResponse(resp)
 			resp.Body.Close()
@@ -994,7 +968,7 @@ func (c *Client) UploadBatchControlled(game string, sessions []trace.SessionEven
 		return BatchResult{}, err
 	}
 	u := c.endpoint("/v1/upload-batch", url.Values{"game": {game}})
-	resp, retries, shed, err := c.doCtl(http.MethodPost, u, "application/octet-stream", buf.Bytes(), sc, ctl)
+	resp, retries, shed, err := c.do(http.MethodPost, u, "application/octet-stream", buf.Bytes(), sc, ctl)
 	if err != nil {
 		return BatchResult{Retries: retries, Shed: shed}, err
 	}
@@ -1011,7 +985,7 @@ func (c *Client) UploadBatchControlled(game string, sessions []trace.SessionEven
 // Rebuild asks the cloud to retrain and build a fresh table.
 func (c *Client) Rebuild(game string) error {
 	u := c.endpoint("/v1/rebuild", url.Values{"game": {game}})
-	resp, _, err := c.do(http.MethodPost, u, "text/plain", nil, obs.SpanContext{})
+	resp, _, _, err := c.do(http.MethodPost, u, "text/plain", nil, obs.SpanContext{}, nil)
 	if err != nil {
 		return err
 	}

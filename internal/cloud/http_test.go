@@ -19,7 +19,7 @@ import (
 
 func testServer(t *testing.T) (*Service, *httptest.Server) {
 	t.Helper()
-	svc := NewService(pfi.DefaultConfig())
+	svc := NewServiceWithOptions(pfi.DefaultConfig(), ServiceOptions{})
 	srv := httptest.NewServer(svc.Handler())
 	t.Cleanup(srv.Close)
 	return svc, srv

@@ -28,7 +28,7 @@ func TestMeasureOTA(t *testing.T) {
 	const boot = 3
 	const rounds = 4
 	for _, game := range games.Names() {
-		svc := NewShardedService(pfi.DefaultConfig(), 2)
+		svc := NewServiceWithOptions(pfi.DefaultConfig(), ServiceOptions{Shards: 2})
 		srv := httptest.NewServer(svc.Handler())
 		client := NewClient(srv.URL)
 		upload := func(seed uint64) {

@@ -340,7 +340,7 @@ func (c *Client) FetchUpdate(game string, haveVersion int, have *memo.FlatTable)
 	u := c.endpoint("/v1/update", url.Values{
 		"game": {game}, "gen": {strconv.Itoa(haveVersion)},
 	})
-	resp, _, err := c.do(http.MethodGet, u, "", nil, obs.SpanContext{})
+	resp, _, _, err := c.do(http.MethodGet, u, "", nil, obs.SpanContext{}, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -68,7 +68,7 @@ func TestShardedRebuildDeterminism(t *testing.T) {
 
 	var baseline map[string][]byte
 	for _, shards := range []int{1, 2, 4, 8} {
-		svc := NewShardedService(pfi.DefaultConfig(), shards)
+		svc := NewServiceWithOptions(pfi.DefaultConfig(), ServiceOptions{Shards: shards})
 		srv := httptest.NewServer(svc.Handler())
 		client := NewClient(srv.URL)
 		imgs := make(map[string][]byte)
@@ -104,7 +104,7 @@ func TestShardedRebuildDeterminism(t *testing.T) {
 // HTTP: 404 before any build, full image at gen 0, a delta chain once
 // the device holds the previous generation, and 304 when current.
 func TestUpdateEndpointNegotiation(t *testing.T) {
-	svc := NewShardedService(pfi.DefaultConfig(), 2)
+	svc := NewServiceWithOptions(pfi.DefaultConfig(), ServiceOptions{Shards: 2})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 	defer svc.Close()
@@ -185,7 +185,7 @@ func TestUpdateEndpointNegotiation(t *testing.T) {
 // CandyCrush builds retain a one-link chain, so the cloud offers a delta
 // and the fallback is always taken.
 func TestFetchUpdateFallsBackOnBaseMismatch(t *testing.T) {
-	svc := NewShardedService(pfi.DefaultConfig(), 2)
+	svc := NewServiceWithOptions(pfi.DefaultConfig(), ServiceOptions{Shards: 2})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 	defer svc.Close()
@@ -252,7 +252,7 @@ func TestShardQueueSheds(t *testing.T) {
 // feeds on: a row per shard, games attributed to their owners, ingest
 // and OTA tallies where the traffic went.
 func TestShardzEndpoint(t *testing.T) {
-	svc := NewShardedService(pfi.DefaultConfig(), 4)
+	svc := NewServiceWithOptions(pfi.DefaultConfig(), ServiceOptions{Shards: 4})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 	defer svc.Close()
@@ -324,7 +324,7 @@ func TestShardzEndpoint(t *testing.T) {
 // TestServiceCloseIdempotent: Close drains the workers and is safe to
 // call twice.
 func TestServiceCloseIdempotent(t *testing.T) {
-	svc := NewShardedService(pfi.DefaultConfig(), 3)
+	svc := NewServiceWithOptions(pfi.DefaultConfig(), ServiceOptions{Shards: 3})
 	svc.Close()
 	svc.Close()
 }

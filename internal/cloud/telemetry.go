@@ -542,7 +542,7 @@ func (c *Client) UploadTelemetry(game string, recs []trace.TelemetryRecord, sc o
 		return BatchResult{}, err
 	}
 	u := c.endpoint("/v1/telemetry", url.Values{"game": {game}})
-	resp, retries, err := c.do(http.MethodPost, u, "application/octet-stream", buf.Bytes(), sc)
+	resp, retries, _, err := c.do(http.MethodPost, u, "application/octet-stream", buf.Bytes(), sc, nil)
 	if err != nil {
 		return BatchResult{Retries: retries}, err
 	}

@@ -71,7 +71,11 @@ type Config struct {
 	// the first table mid-run.
 	Table *memo.Shared
 	// Client reaches the cloud profiler. Nil disables uploads and OTA
-	// refresh (a pure lookup-serving run).
+	// refresh (a pure lookup-serving run). Uploads follow the client's
+	// backpressure contract: a 429 waits out Retry-After within the
+	// device's retry budget (see cloud.RetryBudgetTokens), backoff runs
+	// on simulated time (Result.BackoffNS), and a terminal upload error
+	// books the batch shed or dropped while the device keeps playing.
 	Client *cloud.Client
 	// BatchSize is the number of finished sessions a device packs into
 	// one gzip'd upload-batch. <= 1 uploads every session individually
@@ -139,12 +143,6 @@ type Config struct {
 	// is the homogeneous fleet — byte-identical to builds without the
 	// knob.
 	SpeedGrades []float64
-	// Overload, when non-nil, opts the fleet into the client-side
-	// overload contract (429 retry with Retry-After, per-device retry
-	// budgets, shed/dropped batch accounting — see OverloadConfig). Nil
-	// keeps the legacy behaviour: a terminal upload error fails the
-	// device.
-	Overload *OverloadConfig
 }
 
 func (c Config) validate() error {
@@ -258,9 +256,10 @@ type DeviceResult struct {
 	Energy *EnergyBreakdown `json:"energy,omitempty"`
 	// P99LookupNS is the device's own p99 probe latency estimate.
 	P99LookupNS int64 `json:"p99_lookup_ns"`
-	// Failed marks a device that died mid-run (injected crash or a
-	// terminal upload error). The coordinator isolates it — its tallies
-	// up to the failure still count — and the run continues.
+	// Failed marks a device that died mid-run (an injected crash or a
+	// failed OTA refresh; a terminal upload error only books its batch
+	// shed or dropped). The coordinator isolates it — its tallies up to
+	// the failure still count — and the run continues.
 	Failed bool `json:"failed,omitempty"`
 	// FailReason says why (empty for healthy devices).
 	FailReason string `json:"fail_reason,omitempty"`
@@ -412,9 +411,9 @@ type coordinator struct {
 	rounds   atomic.Int64 // OTA refresh rounds claimed
 	guard    *guard       // nil when the mispredict guard is disabled
 
-	// backoffNS accumulates the fleet's simulated backoff time under the
-	// overload contract: CallControl.Sleep adds here instead of sleeping,
-	// so shed retries cost virtual time, never harness wall-clock.
+	// backoffNS accumulates the fleet's simulated upload backoff time:
+	// CallControl.Sleep adds here instead of sleeping, so retries cost
+	// virtual time, never harness wall-clock.
 	backoffNS atomic.Int64
 
 	// refreshMu serializes the execution of claimed OTA rounds. Claims
@@ -560,24 +559,19 @@ func (co *coordinator) device(id int, gen workload.Generator, ws *workerState, h
 		sp.Err = err != nil
 		cfg.Spans.FinishWall(&sp, time.Since(uploadStart).Nanoseconds())
 		if err != nil {
-			if cfg.Overload != nil {
-				// Overload contract: the batch is consumed, not fatal. A
-				// terminal 429 chain books it shed (the cloud chose to
-				// refuse it); anything else books it dropped. Either way
-				// the device clears pending and keeps playing — exactly
-				// what a real client does when the cloud is protecting
-				// itself.
-				if errors.Is(err, cloud.ErrShed) {
-					res.BatchesShed++
-				} else {
-					res.BatchesDropped++
-				}
-				pending = pending[:0]
-				tel.flush(&res, false)
-				return nil
+			// The batch is consumed, not fatal. A terminal 429 chain
+			// books it shed (the cloud chose to refuse it); anything else
+			// books it dropped. Either way the device clears pending and
+			// keeps playing — exactly what a real client does when the
+			// cloud refuses an upload.
+			if errors.Is(err, cloud.ErrShed) {
+				res.BatchesShed++
+			} else {
+				res.BatchesDropped++
 			}
-			res.BatchesDropped++
-			return fmt.Errorf("fleet: device %d upload: %w", id, err)
+			pending = pending[:0]
+			tel.flush(&res, false)
+			return nil
 		}
 		res.Batches++
 		res.UploadBytes += br.Wire
@@ -771,12 +765,6 @@ func Run(cfg Config) (*Result, error) {
 	gen, err := workload.ForWorkload(cfg.Game, cfg.Workload)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Overload != nil && cfg.Client != nil {
-		// The overload contract needs the shared client to treat 429 as
-		// retryable; everything per-device (budget, jitter, sim-time
-		// sleep) rides the CallControl instead.
-		cfg.Client.Retry.Retry429 = true
 	}
 	co := &coordinator{
 		cfg:   cfg,

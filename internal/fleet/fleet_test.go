@@ -22,7 +22,7 @@ const (
 // sessions and builds the first table — the state a fleet joins.
 func bootCloud(t *testing.T) (*cloud.Service, *httptest.Server, *cloud.Client, memo.Table) {
 	t.Helper()
-	svc := cloud.NewService(pfi.DefaultConfig())
+	svc := cloud.NewServiceWithOptions(pfi.DefaultConfig(), cloud.ServiceOptions{})
 	srv := httptest.NewServer(svc.Handler())
 	t.Cleanup(srv.Close)
 	client := cloud.NewClient(srv.URL)

@@ -31,26 +31,10 @@ import (
 // carries. Aggregate tallies are identical either way.
 const PerDeviceDetailMax = 4096
 
-// OverloadConfig opts a run into the client-side overload contract:
-// 429s become retryable (the fleet's shared cloud.Client gets
-// Retry429), each device carries a retry budget refilled by successes,
-// and a terminal outcome consumes the batch — shed or dropped, counted
-// in the conservation ledger — instead of failing the device. Backoff
-// runs on simulated time (an atomic virtual-nanosecond sum, reported as
-// Result.BackoffNS) with per-device pre-split jitter RNG, so overload
-// runs stay deterministic and never wall-clock stall the harness.
-type OverloadConfig struct {
-	// RetryBudget is each device's 429-retry token budget (<= 0: 8).
-	RetryBudget float64
-	// RefillPerSuccess is the budget credited back per accepted upload
-	// (< 0: 0.5).
-	RefillPerSuccess float64
-}
-
-// overloadJitterSalt seeds each device's private backoff-jitter stream;
+// backoffJitterSalt seeds each device's private backoff-jitter stream;
 // XORed with SeedBase+device so streams never collide with session or
 // shadow-guard RNG.
-const overloadJitterSalt = 0x4F564C4444455649 // "OVLDDEVI"
+const backoffJitterSalt = 0x4F564C4444455649 // "OVLDDEVI"
 
 // workerState is one scheduler worker's pooled device state: the game
 // instance (Reset per session) and the handled-event-type set, which
@@ -86,16 +70,15 @@ func workerCount(cfg Config) int {
 	return w
 }
 
-// callControl builds a device's per-call backpressure control under the
-// overload contract: retry budget, sim-time sleep, pre-split jitter.
-// Nil when overload is off — the legacy path stays byte-identical.
+// callControl builds a device's per-call upload backpressure control:
+// retry budget, sim-time sleep, pre-split jitter. Nil without a client.
 func (co *coordinator) callControl(id int) *cloud.CallControl {
 	cfg := co.cfg
-	if cfg.Overload == nil || cfg.Client == nil {
+	if cfg.Client == nil {
 		return nil
 	}
-	budget := cloud.NewRetryBudget(cfg.Overload.RetryBudget, cfg.Overload.RefillPerSuccess)
-	jr := rng.New((cfg.SeedBase + uint64(id)) ^ overloadJitterSalt)
+	budget := cloud.NewRetryBudget(cloud.RetryBudgetTokens, cloud.RetryBudgetRefill)
+	jr := rng.New((cfg.SeedBase + uint64(id)) ^ backoffJitterSalt)
 	return &cloud.CallControl{
 		Budget: budget,
 		Sleep: func(d time.Duration) {

@@ -1,14 +1,17 @@
 package fleet
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 
 	"snip/internal/cloud"
 	"snip/internal/memo"
+	"snip/internal/obs"
 	"snip/internal/pfi"
 	"snip/internal/rng"
+	"snip/internal/trace"
 )
 
 // TestOverloadSchedulerWorkerInvariance pins the shared scheduler's
@@ -88,7 +91,6 @@ func TestOverloadFleetShedConservation(t *testing.T) {
 		Game: testGame, Devices: 6, SessionsPerDevice: 2,
 		SessionDuration: testDur, SeedBase: 6000,
 		Table: memo.NewShared(nil), Client: client, BatchSize: 1,
-		Overload: &OverloadConfig{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,33 +143,82 @@ func TestOverloadFleetShedConservation(t *testing.T) {
 	}
 }
 
-// TestOverloadOffIsByteIdentical pins the regression gate the figures
-// depend on: with Overload nil the scheduler path must produce exactly
-// the tallies the legacy goroutine-per-device harness did, and no
-// ledger field may leak in.
-func TestOverloadOffIsByteIdentical(t *testing.T) {
-	_, srv, _, table := bootCloud(t)
-	srv.Close()
+// TestOverloadCleanRunCarriesNoTallies pins the single upload contract
+// on the happy path: a clean run against a healthy cloud sheds,
+// drops, retries and backs off nothing, so every offered batch is
+// accepted and no shed/backoff tally leaks into the result.
+func TestOverloadCleanRunCarriesNoTallies(t *testing.T) {
+	_, _, client, table := bootCloud(t)
 	res, err := Run(Config{
-		Game: testGame, Devices: 3, SessionsPerDevice: 1,
+		Game: testGame, Devices: 3, SessionsPerDevice: 2,
 		SessionDuration: testDur, SeedBase: 8000,
-		Table: memo.NewShared(table),
+		Table: memo.NewShared(table), Client: client, BatchSize: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Shed429 != 0 || res.BatchesShed != 0 || res.BatchesDropped != 0 || res.BackoffNS != 0 {
-		t.Fatalf("overload-off run carries overload tallies: %+v", res)
+		t.Fatalf("clean run carries overload tallies: %+v", res)
 	}
-	// Offered always mirrors accepted when nothing sheds, so the
-	// conservation identity holds trivially on legacy runs too.
-	if res.OfferedBatches != res.Batches {
-		t.Fatalf("offered %d != accepted %d on a clean run", res.OfferedBatches, res.Batches)
+	if res.OfferedBatches != 6 || res.OfferedBatches != res.Batches {
+		t.Fatalf("offered %d, accepted %d; want 6 of 6 on a clean run", res.OfferedBatches, res.Batches)
 	}
 	for _, d := range res.PerDevice {
 		if d.SpeedGrade != 0 {
 			t.Fatalf("homogeneous run reports a speed grade: %+v", d)
 		}
+	}
+}
+
+// TestOverloadRejectedUploadDropsBatch: an upload the cloud refuses for
+// good (here every batch answers 400) books the batch dropped; it never
+// fails the device, so every session is still played.
+func TestOverloadRejectedUploadDropsBatch(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "bad batch", http.StatusBadRequest)
+	}))
+	t.Cleanup(srv.Close)
+	res, err := Run(Config{
+		Game: testGame, Devices: 3, SessionsPerDevice: 2,
+		SessionDuration: testDur, SeedBase: 8000,
+		Table: memo.NewShared(nil), Client: cloud.NewClient(srv.URL), BatchSize: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FailedDevices != 0 || res.Sessions != 6 {
+		t.Fatalf("failed devices %d, sessions %d; want 0 and 6", res.FailedDevices, res.Sessions)
+	}
+	if res.OfferedBatches != 6 || res.BatchesDropped != 6 || res.Batches != 0 || res.BatchesShed != 0 {
+		t.Fatalf("offered=%d accepted=%d shed=%d dropped=%d, want all 6 dropped",
+			res.OfferedBatches, res.Batches, res.BatchesShed, res.BatchesDropped)
+	}
+	for _, d := range res.PerDevice {
+		if d.Failed || d.BatchesDropped != 2 {
+			t.Fatalf("device %d: failed=%v (%s), dropped %d of 2", d.Device, d.Failed, d.FailReason, d.BatchesDropped)
+		}
+	}
+}
+
+// TestOverloadBudgetRefillsOnAccept: the retry budget the fleet builds
+// for a device starts full and credits half a token back per accepted
+// upload.
+func TestOverloadBudgetRefillsOnAccept(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	t.Cleanup(srv.Close)
+	client := cloud.NewClient(srv.URL)
+	co := &coordinator{cfg: Config{Client: client}}
+	ctl := co.callControl(0)
+	if got := ctl.Budget.Tokens(); got != 8 {
+		t.Fatalf("fresh budget %v tokens, want 8", got)
+	}
+	ctl.Budget.Allow()
+	sessions := []trace.SessionEvents{{Seed: 1, Log: &trace.EventLog{Game: testGame}}}
+	if _, err := client.UploadBatchControlled(testGame, sessions, obs.SpanContext{}, ctl); err != nil {
+		t.Fatal(err)
+	}
+	if got := ctl.Budget.Tokens(); got != 7.5 {
+		t.Fatalf("budget %v tokens after one retry and one accepted upload, want 7.5", got)
 	}
 }
 

@@ -121,8 +121,8 @@ func TestFleetTelemetryBestEffort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The upload failure marks devices failed, but telemetry records are
-	// still folded and their loss is accounted, never silent.
+	// The upload failures book the batches dropped; telemetry records
+	// are still folded and their loss is accounted, never silent.
 	if res.Telemetry == nil || res.Telemetry.Records == 0 {
 		t.Fatalf("no records folded: %+v", res.Telemetry)
 	}

@@ -133,7 +133,7 @@ func TestIdlePhoneHours(t *testing.T) {
 }
 
 func TestCloudRoundtrip(t *testing.T) {
-	svc := snip.NewCloudService(snip.DefaultPFIOptions())
+	svc := snip.NewCloudServiceWithOptions(snip.DefaultPFIOptions(), snip.CloudServiceOptions{})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 	client := snip.NewCloudClient(srv.URL)
