@@ -73,7 +73,11 @@ func main() {
 				fmt.Fprintln(os.Stderr, "pfi:", err)
 				os.Exit(1)
 			}
-			table := memo.BuildSnip(profile, pr.Selection)
+			table, err := memo.Flatten(memo.BuildSnip(profile, pr.Selection))
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "flatten:", err)
+				os.Exit(1)
+			}
 			snip, err := schemes.Run(schemes.Config{
 				Game: n, Seed: *seed, Duration: dur, Scheme: schemes.SNIP,
 				Table: table, EvalCorrectness: true,

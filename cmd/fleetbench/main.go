@@ -199,7 +199,6 @@ func main() {
 	pfiOpts.Workers = *workers
 	table, _, err := snip.BuildTable(profile, pfiOpts)
 	fatalIf(err)
-	fatalIf(table.Flatten())
 	fmt.Fprintf(os.Stderr, "table: %d rows, %d bytes (flat image %d bytes)\n",
 		table.Rows(), table.SizeBytes(), table.ImageBytes())
 

@@ -38,9 +38,6 @@ func TestSweepValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := table.Flatten(); err != nil {
-		t.Fatal(err)
-	}
 	set := runSettings{
 		game: game, table: table, sessions: 1, dur: dur, batch: 2,
 		ota: true, refreshes: 2, shards: 1,

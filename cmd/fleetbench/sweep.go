@@ -10,10 +10,11 @@ import (
 	"time"
 
 	"snip/internal/memo"
+	"snip/internal/units"
 )
 
 // The lookup-only sweep: build one synthetic table per row count, serve
-// it from both backends and time nothing but Table.Lookup. This is the
+// it from both backends and time nothing but Lookup. This is the
 // head-to-head the flat image exists for, with no fleet machinery, HTTP
 // or emulator in the measurement loop. Resolvers rotate across the whole
 // table so successive probes land on different buckets — a single hot
@@ -80,7 +81,6 @@ func runSweep(spec string, ops int, gate float64, out string) error {
 
 func sweepOne(n, ops int) (sweepPoint, error) {
 	mt := memo.SynthTable(n)
-	mt.Freeze()
 	ft, err := memo.Flatten(mt)
 	if err != nil {
 		return sweepPoint{}, fmt.Errorf("rows=%d: %w", n, err)
@@ -89,11 +89,11 @@ func sweepOne(n, ops int) (sweepPoint, error) {
 	for i := range res {
 		res[i] = memo.SynthHit(n, (i*2654435761)%n)
 	}
-	mapNS, err := timeLookups(mt, res, ops)
+	mapNS, err := timeLookups(mt.Lookup, res, ops)
 	if err != nil {
 		return sweepPoint{}, fmt.Errorf("map rows=%d: %w", n, err)
 	}
-	flatNS, err := timeLookups(ft, res, ops)
+	flatNS, err := timeLookups(ft.Lookup, res, ops)
 	if err != nil {
 		return sweepPoint{}, fmt.Errorf("flat rows=%d: %w", n, err)
 	}
@@ -104,17 +104,21 @@ func sweepOne(n, ops int) (sweepPoint, error) {
 	}, nil
 }
 
+// lookupFunc is the probe signature both backends share: the map
+// reference's SnipTable.Lookup and the served FlatTable.Lookup.
+type lookupFunc func(eventType string, resolve memo.Resolver) (*memo.SnipEntry, int64, units.Size, bool)
+
 // timeLookups runs a short warmup, then times ops hit-path lookups.
 // Best-of-three passes: the minimum is the least noise-contaminated
 // estimate of the true cost, which matters for the regression gate on
 // shared or single-core machines.
-func timeLookups(t memo.Table, res []memo.Resolver, ops int) (float64, error) {
+func timeLookups(lookup lookupFunc, res []memo.Resolver, ops int) (float64, error) {
 	warm := ops / 10
 	if warm > 10_000 {
 		warm = 10_000
 	}
 	for i := 0; i < warm; i++ {
-		if _, _, _, ok := t.Lookup("tap", res[i%len(res)]); !ok {
+		if _, _, _, ok := lookup("tap", res[i%len(res)]); !ok {
 			return 0, fmt.Errorf("unexpected miss during warmup")
 		}
 	}
@@ -122,7 +126,7 @@ func timeLookups(t memo.Table, res []memo.Resolver, ops int) (float64, error) {
 	for pass := 0; pass < 3; pass++ {
 		start := time.Now()
 		for i := 0; i < ops; i++ {
-			if _, _, _, ok := t.Lookup("tap", res[i%len(res)]); !ok {
+			if _, _, _, ok := lookup("tap", res[i%len(res)]); !ok {
 				return 0, fmt.Errorf("unexpected miss at op %d", i)
 			}
 		}

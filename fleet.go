@@ -10,7 +10,7 @@ import (
 	"snip/internal/units"
 )
 
-// SharedTable publishes one frozen lookup table to any number of
+// SharedTable publishes one immutable lookup table to any number of
 // concurrent readers and supports live OTA replacement (RCU-style: new
 // probes see the new table immediately, in-flight probes finish on the
 // old one). It is what a device fleet serves from.
@@ -18,8 +18,8 @@ type SharedTable struct {
 	s *memo.Shared
 }
 
-// NewSharedTable freezes a built table and publishes it. A nil table is
-// allowed: the fleet then executes everything until the first Publish.
+// NewSharedTable publishes a built table. A nil table is allowed: the
+// fleet then executes everything until the first Publish.
 func NewSharedTable(t *Table) *SharedTable {
 	if t == nil {
 		return &SharedTable{s: memo.NewShared(nil)}
@@ -27,8 +27,8 @@ func NewSharedTable(t *Table) *SharedTable {
 	return &SharedTable{s: memo.NewShared(t.t)}
 }
 
-// Publish freezes and atomically swaps in a new table, returning the new
-// generation number. The displaced table is retained for one Rollback.
+// Publish atomically swaps in a new table, returning the new generation
+// number. The displaced table is retained for one Rollback.
 func (s *SharedTable) Publish(t *Table) int64 { return s.s.Swap(t.t) }
 
 // Version returns the number of publications so far (0 when empty). It

@@ -27,7 +27,7 @@ func testStream(t *testing.T, n int) *sensors.Stream {
 	return s
 }
 
-func testTable(t *testing.T) *memo.SnipTable {
+func testTable(t *testing.T) *memo.FlatTable {
 	t.Helper()
 	// One selected input field, so distinct input values hash to distinct
 	// rows (an empty selection would collapse every insert into one row).
@@ -41,11 +41,14 @@ func testTable(t *testing.T) *memo.SnipTable {
 			Outputs: []trace.Field{{Name: "x", Category: trace.OutHistory, Size: 8, Value: i * 100}},
 		})
 	}
-	tab.Freeze()
 	if tab.Rows() != 20 {
 		t.Fatalf("test table has %d rows, want 20", tab.Rows())
 	}
-	return tab
+	ft, err := memo.Flatten(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ft
 }
 
 func TestNamedProfiles(t *testing.T) {
@@ -171,11 +174,25 @@ func TestSessionFaultsDeterministic(t *testing.T) {
 }
 
 // TestMaybePoisonTableDeterministic: poisoning is a pure function of
-// (profile seed, table fingerprint), never mutates its input, and at
+// (profile seed, table fingerprint), never writes into its input, and at
 // rate 1.0 corrupts every entry that has outputs.
 func TestMaybePoisonTableDeterministic(t *testing.T) {
 	tab := testTable(t)
 	origFP := tab.Fingerprint()
+	// The flat source's Fingerprint is cached at load, so it cannot see
+	// writes into the entries the source shares with Lookup; record what
+	// every entry serves before poisoning and probe again afterwards.
+	resolve := func(i uint64) memo.Resolver {
+		return func(string) (uint64, bool) { return i, true }
+	}
+	want := make(map[uint64][]trace.Field)
+	for i := uint64(1); i <= 20; i++ {
+		e, _, _, ok := tab.Lookup("touch", resolve(i))
+		if !ok {
+			t.Fatalf("entry %d missing from the source", i)
+		}
+		want[i] = append([]trace.Field(nil), e.Outputs...)
+	}
 
 	p := Profile{Seed: 42, TablePoisonRate: 0.5}
 	a, na := New(p).MaybePoisonTable(tab)
@@ -186,8 +203,11 @@ func TestMaybePoisonTableDeterministic(t *testing.T) {
 	if na == 0 || na == 20 {
 		t.Fatalf("rate 0.5 poisoned %d/20 entries; selection looks broken", na)
 	}
-	if tab.Fingerprint() != origFP {
-		t.Fatal("input table mutated")
+	// Pinned: the entries poisoned at this seed and rate, and so the
+	// poisoned image, are those of the sorted map-table walk that
+	// preceded the flat one.
+	if crc := a.ArenaCRC(); na != 9 || crc != 0x2e394340 {
+		t.Fatalf("seed 42 rate 0.5 poisoned %d entries into arena CRC %#08x, want 9 and 0x2e394340", na, crc)
 	}
 	if a.Fingerprint() == origFP {
 		t.Fatal("poisoned copy has the original fingerprint")
@@ -199,6 +219,12 @@ func TestMaybePoisonTableDeterministic(t *testing.T) {
 	}
 	if full.Rows() != tab.Rows() {
 		t.Fatalf("poisoning changed the row count: %d vs %d", full.Rows(), tab.Rows())
+	}
+	for i, outs := range want {
+		e, _, _, ok := tab.Lookup("touch", resolve(i))
+		if !ok || !reflect.DeepEqual(e.Outputs, outs) {
+			t.Fatalf("entry %d of the source changed after poisoning: %v, want %v", i, e.Outputs, outs)
+		}
 	}
 
 	if same, n := New(Profile{Seed: 42}).MaybePoisonTable(tab); same != tab || n != 0 {

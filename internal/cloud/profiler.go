@@ -198,9 +198,7 @@ func (p *Profiler) Rebuild() (*TableUpdate, error) {
 	if err != nil {
 		return nil, err
 	}
-	table := memo.BuildSnip(p.profile, res.Selection)
-	table.Freeze()
-	flat, err := memo.Flatten(table)
+	flat, err := memo.Flatten(memo.BuildSnip(p.profile, res.Selection))
 	if err != nil {
 		return nil, fmt.Errorf("cloud: flat table build for %s: %w", p.game, err)
 	}

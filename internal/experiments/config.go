@@ -89,9 +89,9 @@ func (c Config) profile(game string) (*trace.Dataset, error) {
 }
 
 // buildTable profiles a game, runs PFI with the game's developer
-// overrides (§V-B Option 1) and returns the deployable table plus the
-// PFI result.
-func (c Config) buildTable(game string) (*memo.SnipTable, *pfi.Result, *trace.Dataset, error) {
+// overrides (§V-B Option 1) and returns the deployable flat table plus
+// the PFI result.
+func (c Config) buildTable(game string) (*memo.FlatTable, *pfi.Result, *trace.Dataset, error) {
 	prof, err := c.profile(game)
 	if err != nil {
 		return nil, nil, nil, err
@@ -121,5 +121,9 @@ func (c Config) buildTable(game string) (*memo.SnipTable, *pfi.Result, *trace.Da
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return memo.BuildSnip(prof, res.Selection), res, prof, nil
+	table, err := memo.Flatten(memo.BuildSnip(prof, res.Selection))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return table, res, prof, nil
 }

@@ -47,7 +47,7 @@ type Fig11Result struct {
 // training seeds, build the PFI table, then run the deployment session
 // under every scheme. Games fan out across workers; within a game the
 // five schemes stay in comparison order because later schemes are
-// measured against the baseline result. The game's SnipTable is shared
+// measured against the baseline result. The game's flat table is shared
 // across schemes safely: lookups are read-only and each session owns its
 // cost accumulation.
 func Fig11Schemes(cfg Config) (*Fig11Result, error) {

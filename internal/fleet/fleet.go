@@ -13,7 +13,7 @@
 //
 // Three properties make the fleet safe and measurable:
 //
-//   - The table is immutable. Devices call Lookup on a frozen SnipTable
+//   - The table is immutable. Devices call Lookup on a flat table
 //     loaded from a memo.Shared; all per-probe cost tallies accumulate in
 //     each device's own memo.LookupStats. No lookup mutates anything.
 //   - OTA refresh is RCU-style. One device triggers rebuild+fetch+swap
@@ -509,16 +509,14 @@ func (co *coordinator) maybeRefresh() error {
 		co.ota.fullFallbacks++
 	}
 	co.otaVersion = up.Version
-	co.otaBase, _ = up.Table.(*memo.FlatTable)
+	fetched := up.Table.(*memo.FlatTable) // the client only loads flat images
+	co.otaBase = fetched
 	co.otaMu.Unlock()
-	tab := up.Table
 	// Table chaos corrupts the fetched copy before it is published — the
 	// "bad OTA push" the guard loop exists to catch and roll back. The
 	// clean copy stays the delta base: its generation is what the cloud
 	// serves, whatever the guard later does to the published one.
-	if poisoned, n := cfg.Chaos.MaybePoisonTable(tab); n > 0 {
-		tab = poisoned
-	}
+	tab, _ := cfg.Chaos.MaybePoisonTable(fetched)
 	cfg.Table.Swap(tab)
 	co.met.swaps.Inc()
 	co.guard.onSwap()

@@ -12,8 +12,8 @@ import (
 // Flat-image delta diff/apply: the cloud diffs consecutive SNIPFLT1
 // images after every rebuild into a trace.TableDelta (entry-level edits
 // keyed by the open-addressing key hashes), and a device patches its
-// current image forward by replaying the edits into a fresh table and
-// recompiling the canonical image. Because the flat builder is a
+// current image forward by replaying the edits onto its buckets and
+// recompiling the canonical image. Because the flat compiler is a
 // deterministic function of the table contents, "patch then recompile"
 // reproduces the cloud's image byte-exactly — which the mandatory
 // ToCRC check proves before the table can reach a memo.Shared swap.
@@ -56,9 +56,9 @@ func (t *FlatTable) walkFlat(fn func(et string, ek uint64, entries []SnipEntry))
 	}
 }
 
-// selectionToWire converts a Selection into the trace-level form a
+// selectionToDelta converts a Selection into the trace-level form a
 // delta carries (NameHash is derived, not shipped).
-func selectionToWire(sel Selection) map[string][]trace.SelectionField {
+func selectionToDelta(sel Selection) map[string][]trace.SelectionField {
 	w := make(map[string][]trace.SelectionField, len(sel))
 	for et, fs := range sel {
 		out := make([]trace.SelectionField, len(fs))
@@ -70,8 +70,8 @@ func selectionToWire(sel Selection) map[string][]trace.SelectionField {
 	return w
 }
 
-// selectionFromWire rebuilds a canonical Selection from its delta form.
-func selectionFromWire(w map[string][]trace.SelectionField) Selection {
+// selectionFromDelta rebuilds a canonical Selection from its delta form.
+func selectionFromDelta(w map[string][]trace.SelectionField) Selection {
 	sel := make(Selection, len(w))
 	for et, fs := range w {
 		out := make([]SelectedField, len(fs))
@@ -119,7 +119,7 @@ func DiffFlat(game string, fromVersion, toVersion int, old, new *FlatTable) (*tr
 		ToVersion:   toVersion,
 		FromCRC:     old.ArenaCRC(),
 		ToCRC:       new.ArenaCRC(),
-		Selection:   selectionToWire(new.sel),
+		Selection:   selectionToDelta(new.sel),
 	}
 	seen := make(map[trace.DeltaKey]bool, old.Rows())
 	new.walkFlat(func(et string, ek uint64, entries []SnipEntry) {
@@ -156,13 +156,14 @@ type deltaBucketKey struct {
 }
 
 // ApplyDelta patches old forward by one generation: replay the delta's
-// removals and upserts onto the base's buckets, recompile the canonical
-// flat image, run it through full LoadFlatTable validation, and prove
-// the arena CRC equals the delta's ToCRC. A nil error therefore
-// guarantees the result is byte-identical to the table the cloud built
-// AND passed the same validation a full OTA image would. Apply
-// allocates freely (it is the rare OTA path); the returned table's
-// lookup path allocates nothing, like any loaded flat table.
+// removals and upserts onto the base's buckets, feed them straight to
+// the canonical image compiler, run the image through full
+// LoadFlatTable validation, and prove the arena CRC equals the delta's
+// ToCRC. A nil error therefore guarantees the result is byte-identical
+// to the table the cloud built AND passed the same validation a full OTA
+// image would. Apply allocates freely (it is the rare OTA path); the
+// returned table's lookup path allocates nothing, like any loaded flat
+// table.
 func ApplyDelta(old *FlatTable, d *trace.TableDelta) (*FlatTable, error) {
 	if old == nil || d == nil {
 		return nil, fmt.Errorf("memo: apply: nil input")
@@ -234,30 +235,29 @@ func ApplyDelta(old *FlatTable, d *trace.TableDelta) (*FlatTable, error) {
 		work[bk] = entries
 	}
 
-	// Recompile through the canonical builder and revalidate exactly as a
-	// full OTA image would be. Wire/FromWire is the builder's native
-	// input shape; ByKey doubles as the duplicate-state-key check
-	// (FromWire would silently collapse duplicates, LoadFlatTable would
-	// then reject the probe chains — fail early with a clearer error).
-	buckets := make(map[string]map[uint64]*Bucket, len(work))
+	// Recompile through the canonical compiler and revalidate exactly as
+	// a full OTA image would be. A duplicate state key inside one bucket
+	// would leave an entry unreachable; LoadFlatTable would reject its
+	// probe chain, but failing here gives the clearer error.
+	buckets := make([]flatBucket, 0, len(work))
+	seen := make(map[uint64]bool)
 	for bk, entries := range work {
-		byEvent := buckets[bk.et]
-		if byEvent == nil {
-			byEvent = make(map[uint64]*Bucket)
-			buckets[bk.et] = byEvent
-		}
-		b := &Bucket{Order: make([]*SnipEntry, len(entries)), ByKey: make(map[uint64]*SnipEntry, len(entries))}
+		clear(seen)
 		for i := range entries {
-			e := &entries[i]
-			if _, dup := b.ByKey[e.StateKey]; dup {
-				return nil, fmt.Errorf("%w: duplicate state key %#x in bucket %q/%#x", ErrDeltaMismatch, e.StateKey, bk.et, bk.ek)
+			if seen[entries[i].StateKey] {
+				return nil, fmt.Errorf("%w: duplicate state key %#x in bucket %q/%#x", ErrDeltaMismatch, entries[i].StateKey, bk.et, bk.ek)
 			}
-			b.Order[i] = e
-			b.ByKey[e.StateKey] = e
+			seen[entries[i].StateKey] = true
 		}
-		byEvent[bk.ek] = b
+		buckets = append(buckets, flatBucket{et: bk.et, ek: bk.ek, entries: entries})
 	}
-	img, err := FromWire(&Wire{Selection: selectionFromWire(d.Selection), Buckets: buckets}).FlatImage()
+	sort.Slice(buckets, func(i, j int) bool {
+		if buckets[i].et != buckets[j].et {
+			return buckets[i].et < buckets[j].et
+		}
+		return buckets[i].ek < buckets[j].ek
+	})
+	img, err := compileFlat(selectionFromDelta(d.Selection), buckets)
 	if err != nil {
 		return nil, fmt.Errorf("memo: apply: %w", err)
 	}

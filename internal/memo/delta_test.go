@@ -187,6 +187,7 @@ func TestApplyDeltaRejects(t *testing.T) {
 		}},
 		{"upsert position out of range", base, func(d *trace.TableDelta) { d.Upserts[0].Pos = 1 << 20 }},
 		{"upsert into unknown type", base, func(d *trace.TableDelta) { d.Upserts[0].Key.Type = "swipe"; d.Upserts[0].Pos = 7 }},
+		{"duplicate upsert of a new key", base, func(d *trace.TableDelta) { d.Upserts = append(d.Upserts, d.Upserts[0]) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

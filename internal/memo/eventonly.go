@@ -1,8 +1,6 @@
 package memo
 
 import (
-	"time"
-
 	"snip/internal/trace"
 	"snip/internal/units"
 )
@@ -17,13 +15,7 @@ type EventOnlyTable struct {
 	inWidth  units.Size // max In.Event record width observed
 	outWidth units.Size
 	rows     map[uint64]*eventRow
-	metrics  *TableMetrics
 }
-
-// SetMetrics attaches observability counters; Evaluate then counts each
-// replayed record as a lookup (hit when its In.Event key recurred) and
-// measures probe latency. Nil detaches.
-func (t *EventOnlyTable) SetMetrics(m *TableMetrics) { t.metrics = m }
 
 type eventRow struct {
 	outputs     map[uint64][]trace.Field // distinct output records by hash
@@ -34,12 +26,8 @@ type eventRow struct {
 }
 
 // BuildEventOnly constructs the In.Event-indexed table from a profile.
-func BuildEventOnly(d *trace.Dataset) *EventOnlyTable { return BuildEventOnlyObserved(d, nil) }
-
-// BuildEventOnlyObserved is BuildEventOnly with build-time insert
-// accounting on the given metrics (may be nil).
-func BuildEventOnlyObserved(d *trace.Dataset, m *TableMetrics) *EventOnlyTable {
-	t := &EventOnlyTable{rows: make(map[uint64]*eventRow), metrics: m}
+func BuildEventOnly(d *trace.Dataset) *EventOnlyTable {
+	t := &EventOnlyTable{rows: make(map[uint64]*eventRow)}
 	t.outWidth = d.UnionOutputWidth()
 	eventNames := make(map[string]bool)
 	for _, f := range d.InputFieldUniverse() {
@@ -57,9 +45,6 @@ func BuildEventOnlyObserved(d *trace.Dataset, m *TableMetrics) *EventOnlyTable {
 			row = &eventRow{outputs: map[uint64][]trace.Field{}, first: outHash, firstFields: r.Outputs}
 			row.outputs[outHash] = r.Outputs
 			t.rows[key] = row
-			if m != nil {
-				m.Inserts.Inc()
-			}
 			continue
 		}
 		// Subsequent occurrence: a table hit.
@@ -68,9 +53,6 @@ func BuildEventOnlyObserved(d *trace.Dataset, m *TableMetrics) *EventOnlyTable {
 		if _, seen := row.outputs[outHash]; !seen {
 			// Same In.Event key, different outputs: the §IV-B ambiguity.
 			row.outputs[outHash] = r.Outputs
-			if m != nil {
-				m.Conflicts.Inc()
-			}
 		}
 	}
 	return t
@@ -114,15 +96,8 @@ func (t *EventOnlyTable) Evaluate(d *trace.Dataset) EventOnlyStats {
 	var coveredInstr, ambiguousInstr int64
 	th := typeHashes{}
 	for _, r := range d.Records {
-		var probeStart time.Time
-		if t.metrics != nil {
-			probeStart = time.Now()
-		}
 		key := trace.Combine(r.EventHash, th.of(r.EventType))
 		row := t.rows[key]
-		if t.metrics != nil {
-			t.metrics.observe(row != nil && seen[key], time.Since(probeStart).Nanoseconds())
-		}
 		if row == nil {
 			continue
 		}

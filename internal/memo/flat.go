@@ -56,10 +56,11 @@ import (
 //	             entry index + 1, 0 = empty (the open-addressing index
 //	             over Combine(bucket hash, state key))
 //
-// The builder walks the source table in canonical order (sorted types,
-// sorted event keys, insertion order within a bucket) so the image bytes
-// are a deterministic function of the table contents, and a flat table's
-// Fingerprint equals its source's.
+// One compiler (compileFlat) writes every image, from buckets in
+// canonical order (sorted types, sorted event keys, scan order within a
+// bucket), so the image bytes are a deterministic function of the table
+// contents, and a flat table's Fingerprint equals its source's. Its
+// callers are SnipTable.FlatImage, ApplyDelta and Remap.
 
 // flatMagic identifies a flat table image.
 const flatMagic = "SNIPFLT1"
@@ -110,17 +111,24 @@ func (w *flatWriter) str(s string) {
 	w.b = append(w.b, s...)
 }
 
-// FlatImage compiles the table into its flat image. The walk is in
-// canonical order, so two tables with identical rows produce identical
-// bytes. Compiling does not require the table to be frozen (the bytes
-// are a snapshot either way), but the intended flow is Freeze-then-
-// compile: the image of a table that keeps mutating is just stale.
-func (t *SnipTable) FlatImage() ([]byte, error) {
-	types := make([]string, 0, len(t.buckets))
-	for et := range t.buckets {
-		types = append(types, et)
+// flatBucket is one bucket as the image compiler takes it: its owning
+// event type, its event key and its entries in scan order.
+type flatBucket struct {
+	et      string
+	ek      uint64
+	entries []SnipEntry
+}
+
+// compileFlat is the one image compiler. buckets must be sorted by
+// (type, event key) with no key repeated; the image is then a
+// deterministic function of the selection and the bucket contents.
+func compileFlat(selection Selection, buckets []flatBucket) ([]byte, error) {
+	var types []string
+	for i, b := range buckets {
+		if i == 0 || b.et != buckets[i-1].et {
+			types = append(types, b.et)
+		}
 	}
-	sort.Strings(types)
 
 	// The index stores type hashes, not names; a hash collision between
 	// two type names would alias their buckets, so refuse to build.
@@ -134,15 +142,15 @@ func (t *SnipTable) FlatImage() ([]byte, error) {
 	}
 
 	var sel flatWriter
-	selTypes := make([]string, 0, len(t.sel))
-	for et := range t.sel {
+	selTypes := make([]string, 0, len(selection))
+	for et := range selection {
 		selTypes = append(selTypes, et)
 	}
 	sort.Strings(selTypes)
 	sel.u32(uint32(len(selTypes)))
 	for _, et := range selTypes {
 		sel.str(et)
-		fs := t.sel[et]
+		fs := selection[et]
 		sel.u32(uint32(len(fs)))
 		for _, f := range fs {
 			sel.str(f.Name)
@@ -157,7 +165,7 @@ func (t *SnipTable) FlatImage() ([]byte, error) {
 		typesSec.str(et)
 	}
 
-	var buckets, keys, meta, fields, namesSec flatWriter
+	var bucketSec, keys, meta, fields, namesSec flatWriter
 	nameRef := make(map[string]uint32)
 	var names []string
 	intern := func(s string) uint32 {
@@ -171,42 +179,33 @@ func (t *SnipTable) FlatImage() ([]byte, error) {
 	}
 
 	type bucketRec struct{ hash, ek uint64 }
-	var recs []bucketRec
+	recs := make([]bucketRec, 0, len(buckets))
 	var entryHashes []uint64
 	entryCount := uint64(0)
 	fieldCount := uint64(0)
-	for _, et := range types {
-		byEvent := t.buckets[et]
-		th := trace.HashString(et)
-		eks := make([]uint64, 0, len(byEvent))
-		for ek := range byEvent {
-			eks = append(eks, ek)
-		}
-		sort.Slice(eks, func(i, j int) bool { return eks[i] < eks[j] })
-		for _, ek := range eks {
-			b := byEvent[ek]
-			buckets.u64(th)
-			buckets.u64(ek)
-			buckets.u32(uint32(entryCount))
-			buckets.u32(uint32(len(b.Order)))
-			recs = append(recs, bucketRec{hash: th, ek: ek})
-			bh := trace.Combine(th, ek)
-			for _, e := range b.Order {
-				entryHashes = append(entryHashes, trace.Combine(bh, e.StateKey))
-				keys.u64(e.StateKey)
-				meta.u64(uint64(e.Instr))
-				meta.u32(uint32(fieldCount))
-				meta.u32(uint32(len(e.Outputs)))
-				for _, f := range e.Outputs {
-					fields.u32(intern(f.Name))
-					fields.u32(uint32(f.Category))
-					fields.u64(uint64(f.Size))
-					fields.u64(f.Value)
-				}
-				fieldCount += uint64(len(e.Outputs))
+	for _, b := range buckets {
+		th := trace.HashString(b.et)
+		bucketSec.u64(th)
+		bucketSec.u64(b.ek)
+		bucketSec.u32(uint32(entryCount))
+		bucketSec.u32(uint32(len(b.entries)))
+		recs = append(recs, bucketRec{hash: th, ek: b.ek})
+		bh := trace.Combine(th, b.ek)
+		for _, e := range b.entries {
+			entryHashes = append(entryHashes, trace.Combine(bh, e.StateKey))
+			keys.u64(e.StateKey)
+			meta.u64(uint64(e.Instr))
+			meta.u32(uint32(fieldCount))
+			meta.u32(uint32(len(e.Outputs)))
+			for _, f := range e.Outputs {
+				fields.u32(intern(f.Name))
+				fields.u32(uint32(f.Category))
+				fields.u64(uint64(f.Size))
+				fields.u64(f.Value)
 			}
-			entryCount += uint64(len(b.Order))
+			fieldCount += uint64(len(e.Outputs))
 		}
+		entryCount += uint64(len(b.entries))
 	}
 	if entryCount > math.MaxUint32 || fieldCount > math.MaxUint32 {
 		return nil, fmt.Errorf("memo: flat image: table too large (%d entries, %d fields)", entryCount, fieldCount)
@@ -256,7 +255,7 @@ func (t *SnipTable) FlatImage() ([]byte, error) {
 	sections := [flatDirSections][]byte{
 		secSelection:  sel.b,
 		secTypes:      typesSec.b,
-		secBuckets:    buckets.b,
+		secBuckets:    bucketSec.b,
 		secSlots:      slots,
 		secKeys:       keys.b,
 		secMeta:       meta.b,
@@ -287,28 +286,6 @@ func (t *SnipTable) FlatImage() ([]byte, error) {
 	binary.LittleEndian.PutUint32(img[48:], crc32.ChecksumIEEE(img[flatHeaderLen:]))
 	binary.LittleEndian.PutUint32(img[52:], crc32.ChecksumIEEE(img[0:52]))
 	return img, nil
-}
-
-// Flatten returns the flat form of any table: a FlatTable as-is, a
-// SnipTable compiled and reloaded through its image (so the result is
-// exactly what a device would serve after an OTA fetch).
-func Flatten(t Table) (*FlatTable, error) {
-	switch v := t.(type) {
-	case *FlatTable:
-		return v, nil
-	case *SnipTable:
-		img, err := v.FlatImage()
-		if err != nil {
-			return nil, err
-		}
-		return LoadFlatTable(img)
-	default:
-		img, err := FromWire(t.Export()).FlatImage()
-		if err != nil {
-			return nil, err
-		}
-		return LoadFlatTable(img)
-	}
 }
 
 // flatType is the per-event-type lookup context: the precomputed type
@@ -756,12 +733,6 @@ func (t *FlatTable) Size() units.Size { return t.size }
 // this table actually puts on the wire.
 func (t *FlatTable) ImageBytes() units.Size { return units.Size(len(t.img)) }
 
-// Freeze is a no-op: a flat table is immutable from birth.
-func (t *FlatTable) Freeze() {}
-
-// Frozen always reports true.
-func (t *FlatTable) Frozen() bool { return true }
-
 // Fingerprint returns the canonical content digest, equal to the source
 // SnipTable's Fingerprint (computed once at load).
 func (t *FlatTable) Fingerprint() uint64 { return t.fp }
@@ -770,42 +741,46 @@ func (t *FlatTable) Fingerprint() uint64 { return t.fp }
 // Attach before the table is shared.
 func (t *FlatTable) SetMetrics(m *TableMetrics) { t.metrics = m }
 
-// Export rebuilds the gob-friendly wire form from the flat data. It
-// exists for the chaos injector's deep copies; the serving path never
-// calls it.
-func (t *FlatTable) Export() *Wire {
-	buckets := make(map[string]map[uint64]*Bucket, len(t.types))
-	for bi := 0; bi < t.bucketCnt; bi++ {
-		rec := t.arena[t.bucketsOff+flatBucketRecLen*bi:]
-		th := binary.LittleEndian.Uint64(rec)
-		ek := binary.LittleEndian.Uint64(rec[8:])
-		first := binary.LittleEndian.Uint32(rec[16:])
-		count := binary.LittleEndian.Uint32(rec[20:])
-		var et string
-		for name, ft := range t.types {
-			if ft.hash == th {
-				et = name
-				break
-			}
-		}
-		byEvent := buckets[et]
-		if byEvent == nil {
-			byEvent = make(map[uint64]*Bucket)
-			buckets[et] = byEvent
-		}
-		b := &Bucket{Order: make([]*SnipEntry, count), ByKey: make(map[uint64]*SnipEntry, count)}
-		for i := uint32(0); i < count; i++ {
-			e := &t.entries[first+i]
-			b.Order[i] = e
-			b.ByKey[e.StateKey] = e
-		}
-		byEvent[ek] = b
+// Remap compiles a new table from this one's entries, each passed
+// through fn in stored (canonical) order. fn receives a copy of the
+// entry whose Outputs are private to it, so it may rewrite them in
+// place; this table is never written. When fn rewrites only output
+// values, the new image differs from this one only in those values.
+func (t *FlatTable) Remap(fn func(e *SnipEntry)) (*FlatTable, error) {
+	n := 0
+	for i := range t.entries {
+		n += len(t.entries[i].Outputs)
 	}
-	return &Wire{Selection: t.sel, Buckets: buckets}
+	outputs := make([]trace.Field, 0, n)
+	entries := make([]SnipEntry, len(t.entries))
+	buckets := make([]flatBucket, 0, t.bucketCnt)
+	next := 0
+	t.walkFlat(func(et string, ek uint64, src []SnipEntry) {
+		for i := range src {
+			e := &entries[next+i]
+			*e = src[i]
+			first := len(outputs)
+			outputs = append(outputs, src[i].Outputs...)
+			e.Outputs = outputs[first:len(outputs):len(outputs)]
+			fn(e)
+		}
+		buckets = append(buckets, flatBucket{et: et, ek: ek, entries: entries[next : next+len(src)]})
+		next += len(src)
+	})
+	img, err := compileFlat(t.sel, buckets)
+	if err != nil {
+		return nil, err
+	}
+	return LoadFlatTable(img)
 }
 
-// Lookup probes the flat table; same contract, costs and instrumentation
-// as SnipTable.Lookup, with the probe running against the arena bytes.
+// Lookup probes the table for a pending event. On a hit it returns the
+// entry; either way it returns the modeled lookup cost: how many
+// candidate entries were compared (probes) and the necessary-input
+// bytes loaded and compared (probes × per-entry state width). Results
+// and costs match the reference SnipTable.Lookup call for call. Lookup
+// never mutates the table; callers that want aggregate counts fold the
+// return values into a LookupStats.
 func (t *FlatTable) Lookup(eventType string, resolve Resolver) (entry *SnipEntry, probes int64, comparedBytes units.Size, ok bool) {
 	if t.metrics == nil {
 		return t.lookup(eventType, resolve)

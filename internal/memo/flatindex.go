@@ -64,7 +64,7 @@ func (t *FlatTable) probeEntry(h, sk uint64, first, count uint32) (idx uint32, o
 }
 
 // lookup is the uninstrumented probe Lookup wraps. The branch structure
-// and cost accounting mirror SnipTable.lookup exactly: unknown type →
+// and cost accounting mirror SnipTable.Lookup exactly: unknown type →
 // (nil, 0, 0); known type, absent bucket → one charged probe; hit at
 // scan position i → i+1 probes; miss in a populated bucket → one probe
 // per candidate. The equivalence property tests compare the two

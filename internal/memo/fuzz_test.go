@@ -85,7 +85,14 @@ func FuzzLoadFlatTable(f *testing.F) {
 				t.Fatalf("negative costs %d %d", probes, cb)
 			}
 		}
-		_ = ft.Export()
+		// A table that loaded recompiles: same walk, same fingerprint.
+		again, err := ft.Remap(func(*SnipEntry) {})
+		if err != nil {
+			t.Fatalf("loaded table does not recompile: %v", err)
+		}
+		if again.Fingerprint() != ft.Fingerprint() {
+			t.Fatal("recompiled fingerprint differs")
+		}
 	})
 }
 

@@ -211,9 +211,6 @@ func TestSnipTableHitAndMiss(t *testing.T) {
 func TestSnipTableFreeze(t *testing.T) {
 	table := BuildSnip(synthProfile(16), selection())
 	table.Freeze()
-	if !table.Frozen() {
-		t.Fatal("Freeze did not stick")
-	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Insert on a frozen table did not panic")
@@ -298,43 +295,6 @@ func TestSnipTableSizePositive(t *testing.T) {
 	}
 }
 
-func TestWireRoundtrip(t *testing.T) {
-	table := BuildSnip(synthProfile(64), selection())
-	w := table.Export()
-	back := FromWire(w)
-	if back.Rows() != table.Rows() {
-		t.Fatalf("rows %d vs %d", back.Rows(), table.Rows())
-	}
-	// Lookups behave identically.
-	resolve := func(name string) (uint64, bool) {
-		switch name {
-		case "event.tap.x":
-			return 3, true
-		case "state.mode":
-			return 1, true
-		}
-		return 0, false
-	}
-	e1, _, _, ok1 := table.Lookup("tap", resolve)
-	e2, _, _, ok2 := back.Lookup("tap", resolve)
-	if ok1 != ok2 {
-		t.Fatal("wire roundtrip changed hit behaviour")
-	}
-	if ok1 && !sameOutputs(e1.Outputs, e2.Outputs) {
-		t.Fatal("wire roundtrip changed outputs")
-	}
-	// FromWire with a nil ByKey map rebuilds the index.
-	for _, byEvent := range w.Buckets {
-		for _, b := range byEvent {
-			b.ByKey = nil
-		}
-	}
-	rebuilt := FromWire(w)
-	if _, _, _, ok := rebuilt.Lookup("tap", resolve); ok != ok1 {
-		t.Fatal("index rebuild failed")
-	}
-}
-
 // Property: a record inserted into the table is always found again when
 // its selected inputs resolve to the recorded values.
 func TestInsertLookupProperty(t *testing.T) {
@@ -363,4 +323,14 @@ func TestInsertLookupProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// mustFlatten compiles a built table into the flat table Shared serves.
+func mustFlatten(t testing.TB, st *SnipTable) *FlatTable {
+	t.Helper()
+	ft, err := Flatten(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ft
 }

@@ -8,9 +8,10 @@
 //   - EventOnlyTable (§IV-B): records keyed on In.Event fields only.
 //     Small (≈1.5% of naive) but ambiguous for 22% of execution and
 //     erroneous without History/Extern context (Fig. 8).
-//   - SnipTable (§V): keyed on the PFI-selected necessary inputs; the
-//     deployable table SNIP ships to phones, with explicit lookup-cost
-//     accounting (Fig. 11c).
+//   - SnipTable (§V): keyed on the PFI-selected necessary inputs. It is
+//     built as a SnipTable and compiled by Flatten into the FlatTable
+//     SNIP ships to phones, with explicit lookup-cost accounting
+//     (Fig. 11c).
 //
 // Tables account sizes analytically (rows × record width) rather than
 // materializing multi-gigabyte value blobs; the row keys and outputs are
@@ -19,7 +20,6 @@ package memo
 
 import (
 	"sort"
-	"time"
 
 	"snip/internal/trace"
 	"snip/internal/units"
@@ -63,12 +63,7 @@ func (th typeHashes) of(eventType string) uint64 {
 // BuildNaive constructs the naive table from a profile and reports its
 // hit statistics. The key of a record is the hash of ALL its input field
 // values plus the event type (the union record).
-func BuildNaive(d *trace.Dataset) *NaiveTable { return BuildNaiveObserved(d, nil) }
-
-// BuildNaiveObserved is BuildNaive with observability: each record's
-// probe counts as a lookup (hit when the union key recurred), and probe
-// latency feeds the lookup histogram. m may be nil.
-func BuildNaiveObserved(d *trace.Dataset, m *TableMetrics) *NaiveTable {
+func BuildNaive(d *trace.Dataset) *NaiveTable {
 	t := &NaiveTable{
 		inWidth:  d.UnionInputWidth(),
 		outWidth: d.UnionOutputWidth(),
@@ -76,10 +71,6 @@ func BuildNaiveObserved(d *trace.Dataset, m *TableMetrics) *NaiveTable {
 	}
 	th := typeHashes{}
 	for _, r := range d.Records {
-		var start time.Time
-		if m != nil {
-			start = time.Now()
-		}
 		// The union record spans every input location the app has — two
 		// executions share a row only when the whole state AND the event
 		// object match byte for byte.
@@ -88,18 +79,11 @@ func BuildNaiveObserved(d *trace.Dataset, m *TableMetrics) *NaiveTable {
 		if row, ok := t.rows[key]; ok {
 			row.repeats++
 			row.repeatInstr += r.Instr
-			if m != nil {
-				m.observe(true, time.Since(start).Nanoseconds())
-			}
 			continue
 		}
 		row := &naiveRow{key: key}
 		t.rows[key] = row
 		t.order = append(t.order, row)
-		if m != nil {
-			m.observe(false, time.Since(start).Nanoseconds())
-			m.Inserts.Inc()
-		}
 	}
 	return t
 }

@@ -15,19 +15,17 @@ type published struct {
 	gen int64
 }
 
-// Shared serves one immutable table snapshot (either backend behind the
-// Table interface; the flat image in the default deployment) to an
-// arbitrary number
-// of concurrent readers and supports RCU-style OTA refresh: a rebuilt
-// table swaps in atomically without stalling in-flight lookups. This is
+// Shared serves one immutable table snapshot (a FlatTable, which has no
+// insert path) to an arbitrary number of concurrent readers and supports
+// RCU-style OTA refresh: a rebuilt table swaps in atomically without
+// stalling in-flight lookups. This is
 // the fleet-serving shape of the paper's Fig. 10 deployment — the cloud
 // pushes a fresh table and every device picks it up on its next event.
 //
 // Readers call Load once per event (or per session, for a coarser
 // consistency window) and probe the returned snapshot; a snapshot stays
 // valid after a swap, it just stops being the latest. Writers build a
-// complete table off to the side and publish it with Swap, which freezes
-// it first: after publication the table is read-only by construction.
+// complete table off to the side and publish it with Swap.
 //
 // Every publication gets a generation number, and the previous
 // publication is retained so one bad OTA push can be undone: Rollback
@@ -45,11 +43,10 @@ type Shared struct {
 }
 
 // NewShared publishes an initial table (which may be nil — Load then
-// returns nil until the first Swap). The table is frozen.
+// returns nil until the first Swap).
 func NewShared(t Table) *Shared {
 	s := &Shared{}
 	if t != nil {
-		t.Freeze()
 		s.version.Store(1)
 		s.p.Store(&published{t: t, gen: 1})
 	}
@@ -75,12 +72,10 @@ func (s *Shared) LoadGen() (Table, int64) {
 	return nil, 0
 }
 
-// Swap publishes a rebuilt table, freezing it, and returns the new
-// generation number. Readers holding the previous snapshot keep using it
+// Swap publishes a rebuilt table and returns the new generation number. Readers holding the previous snapshot keep using it
 // until their next Load — the RCU grace period is implicit in Go's GC.
 // The displaced publication is retained for one Rollback.
 func (s *Shared) Swap(t Table) int64 {
-	t.Freeze()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	gen := s.version.Add(1)

@@ -6,15 +6,14 @@ import (
 	"snip/internal/trace"
 )
 
-func tableWith(t *testing.T, eventType string, hash uint64, val uint64) *SnipTable {
+func tableWith(t *testing.T, eventType string, hash uint64, val uint64) *FlatTable {
 	t.Helper()
 	tab := NewSnipTable(Selection{})
 	tab.Insert(&trace.Record{
 		EventType: eventType, EventHash: hash,
 		Outputs: []trace.Field{{Name: "x", Category: trace.OutHistory, Size: 8, Value: val}},
 	})
-	tab.Freeze()
-	return tab
+	return mustFlatten(t, tab)
 }
 
 // TestSharedGenerationAndRollback pins the generation/rollback contract

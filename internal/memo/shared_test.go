@@ -1,20 +1,25 @@
 package memo
 
 import (
+	"bytes"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
 // TestLookupDoesNotMutate pins the tentpole contract: probing a table —
-// hit, miss-in-bucket, miss-no-bucket, unknown type — leaves it
-// byte-identical. Combined with the -race test below this is what lets
-// one table serve a whole fleet.
+// hit, miss-in-bucket, miss-no-bucket, unknown type — leaves its image
+// and its entries byte-identical. Combined with the -race test below
+// this is what lets one table serve a whole fleet.
 func TestLookupDoesNotMutate(t *testing.T) {
-	table := BuildSnip(synthProfile(64), selection())
-	before := table.Export()
-	rowsBefore, sizeBefore := table.Rows(), table.Size()
+	table := mustFlatten(t, BuildSnip(synthProfile(64), selection()))
+	image := bytes.Clone(table.Image())
+	entries := make([]SnipEntry, len(table.entries))
+	for i, e := range table.entries {
+		entries[i] = SnipEntry{StateKey: e.StateKey, Instr: e.Instr, Outputs: slices.Clone(e.Outputs)}
+	}
 
 	resolvers := []Resolver{
 		hitResolver(7), // hit
@@ -27,21 +32,12 @@ func TestLookupDoesNotMutate(t *testing.T) {
 			table.Lookup("vsync", r) // unknown type
 		}
 	}
-	if table.Rows() != rowsBefore || table.Size() != sizeBefore {
-		t.Fatal("lookup changed table shape")
+	if !bytes.Equal(table.Image(), image) {
+		t.Fatal("lookup changed the image")
 	}
-	after := table.Export()
-	for et, byEvent := range before.Buckets {
-		for ek, b := range byEvent {
-			b2 := after.Buckets[et][ek]
-			if len(b.Order) != len(b2.Order) {
-				t.Fatalf("bucket %s/%d changed", et, ek)
-			}
-			for i := range b.Order {
-				if b.Order[i] != b2.Order[i] {
-					t.Fatalf("bucket %s/%d entry %d replaced", et, ek, i)
-				}
-			}
+	for i, e := range table.entries {
+		if e.StateKey != entries[i].StateKey || e.Instr != entries[i].Instr || !slices.Equal(e.Outputs, entries[i].Outputs) {
+			t.Fatalf("entry %d changed", i)
 		}
 	}
 }
@@ -51,10 +47,10 @@ func TestLookupDoesNotMutate(t *testing.T) {
 // acceptance gate for fleet-scale serving. Run under -race (ci.sh gates
 // ./internal/memo with the race detector).
 func TestSharedConcurrentLookupAndSwap(t *testing.T) {
-	tables := []*SnipTable{
-		BuildSnip(synthProfile(256), selection()),
-		BuildSnip(synthProfile(512), selection()),
-		BuildSnip(synthProfile(1024), selection()),
+	tables := []*FlatTable{
+		mustFlatten(t, BuildSnip(synthProfile(256), selection())),
+		mustFlatten(t, BuildSnip(synthProfile(512), selection())),
+		mustFlatten(t, BuildSnip(synthProfile(1024), selection())),
 	}
 	shared := NewShared(tables[0])
 	if shared.Version() != 1 {
@@ -105,9 +101,6 @@ func TestSharedConcurrentLookupAndSwap(t *testing.T) {
 	if shared.Version() != 7 {
 		t.Fatalf("version %d after 6 swaps, want 7", shared.Version())
 	}
-	if !shared.Load().Frozen() {
-		t.Fatal("published table not frozen")
-	}
 	if totalHits.Load() == 0 {
 		t.Fatal("no reader ever hit — resolver or table broken")
 	}
@@ -120,7 +113,7 @@ func TestSharedNilInitial(t *testing.T) {
 	if s.Load() != nil || s.Version() != 0 {
 		t.Fatal("empty Shared not empty")
 	}
-	v := s.Swap(BuildSnip(synthProfile(16), selection()))
+	v := s.Swap(mustFlatten(t, BuildSnip(synthProfile(16), selection())))
 	if v != 1 || s.Load() == nil {
 		t.Fatalf("first swap version %d", v)
 	}

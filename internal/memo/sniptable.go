@@ -3,7 +3,6 @@ package memo
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"snip/internal/trace"
 	"snip/internal/units"
@@ -155,46 +154,37 @@ type SnipEntry struct {
 	Instr    int64 // dynamic-instruction weight of the profiled execution
 }
 
-// Bucket is the candidate list behind one event hash-code, scanned
+// bucket is the candidate list behind one event hash-code, scanned
 // linearly at lookup time exactly as the paper describes ("all the other
 // necessary inputs are loaded and compared against the corresponding
 // important input entries").
-type Bucket struct {
-	Order []*SnipEntry // insertion order, the scan order
-	ByKey map[uint64]*SnipEntry
+type bucket struct {
+	order []*SnipEntry // insertion order, the scan order
+	byKey map[uint64]*SnipEntry
 }
 
-// SnipTable is the deployed lookup table: first indexed by event type and
-// the hash of the selected In.Event fields (the "event hash-code"), then
-// resolved by comparing the necessary state inputs against each candidate
-// entry in the bucket.
+// SnipTable is the table builder: Insert folds profiled records into
+// buckets, first indexed by event type and the hash of the selected
+// In.Event fields (the "event hash-code"), then by the necessary state
+// inputs. Freeze ends the build, and Flatten compiles the result into
+// the FlatTable that everything serves and publishes.
 //
-// Lookup is strictly read-only: probing never mutates the table, so one
-// built table can serve any number of concurrent device sessions (the
-// fleet serving layer in internal/fleet does exactly that through a
-// Shared snapshot). Per-lookup costs come back as return values and are
-// aggregated by the caller into a LookupStats — the table itself keeps no
-// runtime counters. Insert is a build-time operation and must finish
-// before the table is shared; Freeze enforces that boundary.
+// Its map Lookup is kept as the reference implementation: the
+// figure-identity test in internal/schemes and fleetbench's
+// -lookup-sweep gate measure the flat backend against it. Lookup is
+// strictly read-only and the table keeps no runtime counters; per-lookup
+// costs come back as return values.
 type SnipTable struct {
 	sel     Selection
-	buckets map[string]map[uint64]*Bucket
+	buckets map[string]map[uint64]*bucket
 	// stateWidth caches Selection.StateWidth per event type; Lookup needs
 	// it on every event and the selection is immutable once deployed.
 	stateWidth map[string]units.Size
 
 	conflictedRows int64 // build-time only
 
-	// frozen marks the table immutable: Insert panics. Shared.Swap and
-	// Freeze set it; read-only methods ignore it.
+	// frozen marks the build finished: Insert panics.
 	frozen bool
-
-	// metrics, when attached, receives hit/miss counters and the
-	// wall-clock lookup-latency histogram. Nil means uninstrumented; the
-	// lookup path then pays exactly one pointer check. The counters are
-	// atomic, so an attached table may be probed concurrently — but
-	// attach (SetMetrics) before the table is shared.
-	metrics *TableMetrics
 }
 
 // LookupStats is the caller-owned accumulator for lookup costs. The
@@ -251,70 +241,52 @@ func BuildSnip(d *trace.Dataset, sel Selection) *SnipTable {
 // NewSnipTable returns an empty table under a selection.
 func NewSnipTable(sel Selection) *SnipTable {
 	sel.Canonicalize()
-	t := &SnipTable{sel: sel, buckets: make(map[string]map[uint64]*Bucket)}
-	t.cacheWidths()
-	return t
-}
-
-// cacheWidths precomputes the per-type state width Lookup charges.
-func (t *SnipTable) cacheWidths() {
-	t.stateWidth = make(map[string]units.Size, len(t.sel))
-	for et := range t.sel {
-		t.stateWidth[et] = t.sel.StateWidth(et)
+	t := &SnipTable{
+		sel:        sel,
+		buckets:    make(map[string]map[uint64]*bucket),
+		stateWidth: make(map[string]units.Size, len(sel)),
 	}
+	for et := range sel {
+		t.stateWidth[et] = sel.StateWidth(et)
+	}
+	return t
 }
 
 // Selection returns the table's field selection.
 func (t *SnipTable) Selection() Selection { return t.sel }
 
-// SetMetrics attaches (or, with nil, detaches) observability counters.
-// Attach before the table is shared across goroutines: the field itself
-// is not synchronized, only the counters behind it are.
-func (t *SnipTable) SetMetrics(m *TableMetrics) { t.metrics = m }
-
-// Freeze marks the table immutable. Any later Insert panics — the guard
-// that keeps a table safe to share across goroutines: once frozen, every
-// remaining operation is read-only.
+// Freeze ends the build. Any later Insert panics, so a table handed to
+// Flatten or probed as the reference cannot change underneath it.
 func (t *SnipTable) Freeze() { t.frozen = true }
-
-// Frozen reports whether the table has been sealed against inserts.
-func (t *SnipTable) Frozen() bool { return t.frozen }
 
 // Insert adds one profiled record. Records whose keys collide with a
 // different output record keep the first-profiled outputs; the conflict
 // count predicts the runtime error rate when PFI under-selects.
-// Inserting into a frozen (shared) table is a programming error and
-// panics.
+// Inserting into a frozen table is a programming error and panics.
 func (t *SnipTable) Insert(r *trace.Record) {
 	if t.frozen {
 		panic("memo: Insert on a frozen SnipTable")
 	}
 	byEvent := t.buckets[r.EventType]
 	if byEvent == nil {
-		byEvent = make(map[uint64]*Bucket)
+		byEvent = make(map[uint64]*bucket)
 		t.buckets[r.EventType] = byEvent
 	}
 	ek, sk := t.sel.KeysFromRecord(r)
 	b := byEvent[ek]
 	if b == nil {
-		b = &Bucket{ByKey: make(map[uint64]*SnipEntry)}
+		b = &bucket{byKey: make(map[uint64]*SnipEntry)}
 		byEvent[ek] = b
 	}
-	if e, ok := b.ByKey[sk]; ok {
+	if e, ok := b.byKey[sk]; ok {
 		if !sameOutputs(e.Outputs, r.Outputs) {
 			t.conflictedRows++
-			if t.metrics != nil {
-				t.metrics.Conflicts.Inc()
-			}
 		}
 		return
 	}
 	e := &SnipEntry{StateKey: sk, Outputs: r.Outputs, Instr: r.Instr}
-	b.ByKey[sk] = e
-	b.Order = append(b.Order, e)
-	if t.metrics != nil {
-		t.metrics.Inserts.Inc()
-	}
+	b.byKey[sk] = e
+	b.order = append(b.order, e)
 }
 
 func sameOutputs(a, b []trace.Field) bool {
@@ -329,26 +301,12 @@ func sameOutputs(a, b []trace.Field) bool {
 	return true
 }
 
-// Lookup probes the table for a pending event. On a hit it returns the
-// entry; either way it returns the lookup cost: how many candidate
-// entries were compared (probes) and the total necessary-input bytes
-// loaded and compared (probes × per-entry state width).
-//
-// Lookup never mutates the table (data-race-free on a shared table;
-// pinned by the -race tests in shared_test.go). Callers that want
-// aggregate counts fold the return values into a LookupStats.
+// Lookup is the reference probe: the contract FlatTable.Lookup honors
+// call for call. On a hit it returns the entry; either way it returns
+// the lookup cost: how many candidate entries were compared (probes) and
+// the total necessary-input bytes loaded and compared (probes ×
+// per-entry state width). Lookup never mutates the table.
 func (t *SnipTable) Lookup(eventType string, resolve Resolver) (entry *SnipEntry, probes int64, comparedBytes units.Size, ok bool) {
-	if t.metrics == nil {
-		return t.lookup(eventType, resolve)
-	}
-	start := time.Now()
-	entry, probes, comparedBytes, ok = t.lookup(eventType, resolve)
-	t.metrics.observe(ok, time.Since(start).Nanoseconds())
-	return entry, probes, comparedBytes, ok
-}
-
-// lookup is the uninstrumented probe Lookup wraps.
-func (t *SnipTable) lookup(eventType string, resolve Resolver) (entry *SnipEntry, probes int64, comparedBytes units.Size, ok bool) {
 	byEvent := t.buckets[eventType]
 	width := t.stateWidth[eventType]
 	if byEvent == nil {
@@ -360,13 +318,13 @@ func (t *SnipTable) lookup(eventType string, resolve Resolver) (entry *SnipEntry
 		return nil, 1, width, false
 	}
 	// The real implementation scans the bucket comparing necessary
-	// inputs entry by entry; the map gives us the answer, the Order
+	// inputs entry by entry; the map gives us the answer, the order
 	// index gives us the honest cost.
-	e, hit := b.ByKey[sk]
+	e, hit := b.byKey[sk]
 	if !hit {
-		probes = int64(len(b.Order))
+		probes = int64(len(b.order))
 	} else {
-		for i, cand := range b.Order {
+		for i, cand := range b.order {
 			if cand == e {
 				probes = int64(i + 1)
 				break
@@ -388,7 +346,7 @@ func (t *SnipTable) Rows() int {
 	n := 0
 	for _, byEvent := range t.buckets {
 		for _, b := range byEvent {
-			n += len(b.Order)
+			n += len(b.order)
 		}
 	}
 	return n
@@ -409,8 +367,8 @@ func (t *SnipTable) MaxBucket() int {
 	max := 0
 	for _, byEvent := range t.buckets {
 		for _, b := range byEvent {
-			if len(b.Order) > max {
-				max = len(b.Order)
+			if len(b.order) > max {
+				max = len(b.order)
 			}
 		}
 	}
@@ -424,7 +382,7 @@ func (t *SnipTable) Size() units.Size {
 	for et, byEvent := range t.buckets {
 		w := t.sel.Width(et)
 		for _, b := range byEvent {
-			for _, e := range b.Order {
+			for _, e := range b.order {
 				rowOut := units.Size(0)
 				for _, f := range e.Outputs {
 					rowOut += f.Size
@@ -439,3 +397,78 @@ func (t *SnipTable) Size() units.Size {
 // Conflicts returns how many profile rows disagreed with an existing
 // entry during the build.
 func (t *SnipTable) Conflicts() int64 { return t.conflictedRows }
+
+// FlatImage compiles the table into its flat image. The walk is in
+// canonical order, so two tables with identical rows produce identical
+// bytes. The intended flow is Freeze-then-compile: the image of a table
+// that keeps mutating is just stale.
+func (t *SnipTable) FlatImage() ([]byte, error) {
+	return compileFlat(t.sel, t.sortedBuckets())
+}
+
+// Flatten ends a build: it freezes t, compiles it and reloads it through
+// its image, so the result is exactly what a device would serve after an
+// OTA fetch.
+func Flatten(t *SnipTable) (*FlatTable, error) {
+	t.Freeze()
+	img, err := t.FlatImage()
+	if err != nil {
+		return nil, err
+	}
+	return LoadFlatTable(img)
+}
+
+// sortedBuckets lists the table's buckets in canonical order — sorted
+// types, sorted event keys, insertion order within a bucket — as the
+// image compiler takes them. Entries are copied by value into one
+// backing slice; their Outputs still alias the table's.
+func (t *SnipTable) sortedBuckets() []flatBucket {
+	types := make([]string, 0, len(t.buckets))
+	for et := range t.buckets {
+		types = append(types, et)
+	}
+	sort.Strings(types)
+	entries := make([]SnipEntry, 0, t.Rows())
+	var out []flatBucket
+	for _, et := range types {
+		byEvent := t.buckets[et]
+		eks := make([]uint64, 0, len(byEvent))
+		for ek := range byEvent {
+			eks = append(eks, ek)
+		}
+		sort.Slice(eks, func(i, j int) bool { return eks[i] < eks[j] })
+		for _, ek := range eks {
+			first := len(entries)
+			for _, e := range byEvent[ek].order {
+				entries = append(entries, *e)
+			}
+			out = append(out, flatBucket{et: et, ek: ek, entries: entries[first:len(entries):len(entries)]})
+		}
+	}
+	return out
+}
+
+// Fingerprint returns a deterministic digest of the table's contents:
+// every entry's event type, keys, instruction weight and output fields,
+// folded in canonical order. Two tables with identical rows produce
+// identical fingerprints regardless of map iteration order, and a
+// FlatTable fingerprints equal to the SnipTable it was compiled from.
+func (t *SnipTable) Fingerprint() uint64 {
+	h := trace.HashString("snip-table-v1")
+	buckets := t.sortedBuckets()
+	for i, b := range buckets {
+		if i == 0 || b.et != buckets[i-1].et {
+			h = trace.Combine(h, trace.HashString(b.et))
+		}
+		h = trace.Combine(h, b.ek)
+		for _, e := range b.entries {
+			h = trace.Combine(h, e.StateKey)
+			h = trace.Combine(h, uint64(e.Instr))
+			for _, f := range e.Outputs {
+				h = trace.Combine(h, trace.HashString(f.Name))
+				h = trace.Combine(h, f.Value)
+			}
+		}
+	}
+	return h
+}

@@ -2,22 +2,16 @@ package memo
 
 import "snip/internal/units"
 
-// Table is the read side shared by both table backends: the
-// map-of-structs SnipTable (the build-time shape, and the reference the
-// lookup gate measures the flat backend against) and the FlatTable
-// compiled from it (the serving shape and the only OTA payload: one
-// contiguous arena plus an open-addressing index, see flat.go). Everything that serves lookups — schemes, the
-// fleet layer, Shared snapshots, the OTA client — talks to this
-// interface, so a backend swap never touches a call site.
-//
-// Both backends return bit-identical results AND bit-identical lookup
-// costs (probes, compared bytes) for every probe; the property tests in
-// flat_test.go and the cross-backend session tests in internal/schemes
-// pin that equivalence, which is what keeps every paper figure
-// byte-identical regardless of backend.
+// Table is the serving contract: what schemes, the fleet layer, Shared
+// snapshots and the OTA client probe and publish. Its one
+// implementation is *FlatTable (one contiguous arena plus an
+// open-addressing index, see flat.go), which is also the only OTA
+// payload. SnipTable is the build shape that Flatten compiles, and its
+// map Lookup is the reference the flat backend is measured against; it
+// does not implement Table.
 type Table interface {
-	// Lookup probes for a pending event; see SnipTable.Lookup for the
-	// exact contract both backends honor.
+	// Lookup probes for a pending event; see FlatTable.Lookup for the
+	// contract.
 	Lookup(eventType string, resolve Resolver) (entry *SnipEntry, probes int64, comparedBytes units.Size, ok bool)
 	// Selection returns the necessary-input selection the table is
 	// keyed on.
@@ -25,26 +19,14 @@ type Table interface {
 	// Rows returns the number of entries.
 	Rows() int
 	// Size returns the modeled deployed size (the paper's table-size
-	// figures); identical across backends by construction.
+	// figures).
 	Size() units.Size
-	// Freeze seals the table against mutation; a FlatTable is born
-	// frozen and treats this as a no-op.
-	Freeze()
-	// Frozen reports whether the table is sealed.
-	Frozen() bool
-	// Fingerprint digests the table contents in canonical order; equal
-	// rows give equal fingerprints across backends.
+	// Fingerprint digests the table contents in canonical order; it
+	// equals the Fingerprint of the SnipTable the table was built from.
 	Fingerprint() uint64
-	// Export snapshots the table into its gob-friendly wire form (the
-	// chaos injector's deep-copy source).
-	Export() *Wire
 	// SetMetrics attaches (nil detaches) observability counters. Attach
 	// before the table is shared.
 	SetMetrics(*TableMetrics)
 }
 
-// Compile-time interface conformance for both backends.
-var (
-	_ Table = (*SnipTable)(nil)
-	_ Table = (*FlatTable)(nil)
-)
+var _ Table = (*FlatTable)(nil)

@@ -9,19 +9,24 @@ import (
 	"snip/internal/units"
 )
 
-// The flat table is a drop-in replacement for the map-backed one: same
-// hits, same misses, same probe counts, same served bytes — so every
-// paper figure is byte-identical whichever backend serves the fleet.
-// This pins that guarantee end to end on every bundled game: a full
-// SNIP session (hits, in-bucket misses and unknown-type lookups all
-// occur naturally) must produce a deeply equal Result under both
-// backends, including the energy ledger and the per-probe LookupStats.
+// mapReference serves the built SnipTable through the memo.Table
+// contract, so a scheme session can run on the map reference lookup.
+type mapReference struct{ *memo.SnipTable }
+
+func (mapReference) SetMetrics(*memo.TableMetrics) {}
+
+// The flat table serves exactly what the map reference does: same hits,
+// same misses, same probe counts, same served bytes — so every paper
+// figure is what the reference lookup would produce. This pins that
+// guarantee end to end on every bundled game: a full SNIP session (hits,
+// in-bucket misses and unknown-type lookups all occur naturally) must
+// produce a deeply equal Result under both, including the energy ledger
+// and the per-probe LookupStats.
 func TestFlatBackendFigureIdentity(t *testing.T) {
 	const dur = 10 * units.Second
 	for _, game := range games.Names() {
 		t.Run(game, func(t *testing.T) {
-			mapTable := buildTable(t, game, 2)
-			mapTable.Freeze()
+			mapTable := buildSnipTable(t, game, 2)
 			flatTable, err := memo.Flatten(mapTable)
 			if err != nil {
 				t.Fatal(err)
@@ -40,7 +45,7 @@ func TestFlatBackendFigureIdentity(t *testing.T) {
 				}
 				return r
 			}
-			a, b := run(mapTable), run(flatTable)
+			a, b := run(mapReference{mapTable}), run(flatTable)
 			if a.Lookup != b.Lookup {
 				t.Fatalf("LookupStats diverge: map %+v, flat %+v", a.Lookup, b.Lookup)
 			}

@@ -75,9 +75,8 @@ type Config struct {
 	Seed     uint64
 	Duration units.Time
 	Scheme   Kind
-	// Table is the deployed SNIP lookup table, either backend (required
-	// for SNIP and NoOverheads). Both backends return bit-identical
-	// results and costs, so the choice never shows up in a Result.
+	// Table is the deployed SNIP lookup table, a flat table in every
+	// production caller (required for SNIP and NoOverheads).
 	Table memo.Table
 	// CollectTrace captures the full per-event profile (the cloud-side
 	// instrumentation; adds memory, not simulated energy).

@@ -109,7 +109,19 @@ func TestMaxSchemesSaveEnergy(t *testing.T) {
 	}
 }
 
-func buildTable(t *testing.T, game string, sessions int) *memo.SnipTable {
+// buildTable profiles a game and returns its deployable flat table.
+func buildTable(t *testing.T, game string, sessions int) *memo.FlatTable {
+	t.Helper()
+	ft, err := memo.Flatten(buildSnipTable(t, game, sessions))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ft
+}
+
+// buildSnipTable profiles a game and returns the built table before it
+// is flattened: the map reference the flat backend is checked against.
+func buildSnipTable(t *testing.T, game string, sessions int) *memo.SnipTable {
 	t.Helper()
 	prof := &trace.Dataset{Game: game}
 	for i := 0; i < sessions; i++ {

@@ -91,9 +91,10 @@ func (m *Metrics) WriteJSON(w io.Writer) error { return m.reg.WriteJSON(w) }
 // WriteTraceJSON writes the retained event chains as a JSON array.
 func (m *Metrics) WriteTraceJSON(w io.Writer) error { return m.tracer.WriteJSON(w) }
 
-// Instrument attaches lookup/insert counters and the lookup-latency
-// histogram to a deployed table. The instrumented lookup path adds no
-// allocations (gated by the benchmark suite). A nil Metrics detaches.
+// Instrument attaches hit/miss counters and the lookup-latency histogram
+// to a deployed table. The instrumented lookup path adds no allocations
+// (BenchmarkFlatLookupHitInstrumented, gated by ci.sh). A nil Metrics
+// detaches.
 func (t *Table) Instrument(m *Metrics) {
 	if m == nil {
 		t.t.SetMetrics(nil)
